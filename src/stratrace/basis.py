@@ -79,29 +79,21 @@ class OrthonormalBasis:
 
     def evaluate(self, i: int, t):
         """q_i(t); scalar in, scalar out, arrays broadcast."""
-        self._check_index(i)
-        t_arr = self._check_points(t)
-        block = self._evaluate_block(t_arr, i + 1)
-        out = block[:, i]
-        return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out.reshape(np.shape(t))
+        return self._pointwise(i, t, antiderivative=False)
 
     def antiderivative(self, i: int, t):
         """Q_i(t) = int_{t0}^t q_i, in closed form."""
-        self._check_index(i)
-        t_arr = self._check_points(t)
-        block = self._antiderivative_block(t_arr, i + 1)
-        out = block[:, i]
-        return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out.reshape(np.shape(t))
+        return self._pointwise(i, t, antiderivative=True)
 
     # -- block API (all indices < count at once, used by the engines) -------
 
     def evaluate_block(self, t, count: int) -> np.ndarray:
         self._check_index(count - 1)
-        return self._evaluate_block(self._check_points(t), count)
+        return self._block(self._check_points(t), count, antiderivative=False)
 
     def antiderivative_block(self, t, count: int) -> np.ndarray:
         self._check_index(count - 1)
-        return self._antiderivative_block(self._check_points(t), count)
+        return self._block(self._check_points(t), count, antiderivative=True)
 
     # -- quadrature demand hints --------------------------------------------
 
@@ -137,21 +129,16 @@ class OrthonormalBasis:
             raise ValueError(f"evaluation points fall outside {self.interval.id}")
         return t_arr
 
-    def _evaluate_block(self, t: np.ndarray, count: int) -> np.ndarray:
-        if self.family == "legendre":
-            return self._legendre_block(t, count, derivative=False)
-        if self.family == "fourier":
-            return self._fourier_block(t, count, derivative=False)
-        return self._haar_block(t, count, derivative=False)
+    def _pointwise(self, i: int, t, antiderivative: bool):
+        self._check_index(i)
+        out = self._block(self._check_points(t), i + 1, antiderivative)[:, i]
+        return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out.reshape(np.shape(t))
 
-    def _antiderivative_block(self, t: np.ndarray, count: int) -> np.ndarray:
-        if self.family == "legendre":
-            return self._legendre_block(t, count, derivative=True)
-        if self.family == "fourier":
-            return self._fourier_block(t, count, derivative=True)
-        return self._haar_block(t, count, derivative=True)
+    def _block(self, t: np.ndarray, count: int, antiderivative: bool) -> np.ndarray:
+        """q_i(t) (or Q_i(t)) for i < count, from the family's own block."""
+        return getattr(self, f"_{self.family}_block")(t, count, antiderivative)
 
-    def _legendre_block(self, t, count, derivative):
+    def _legendre_block(self, t, count, antiderivative):
         t0, length = self.interval.t0, self.interval.length
         u = 2.0 * (t - t0) / length - 1.0
         # three-term recurrence, one extra order for the antiderivative identity
@@ -164,7 +151,7 @@ class OrthonormalBasis:
             p[:, n + 1] = ((2 * n + 1) * u * p[:, n] - n * p[:, n - 1]) / (n + 1)
         idx = np.arange(count)
         norm = np.sqrt((2 * idx + 1) / length)
-        if not derivative:
+        if not antiderivative:
             return p[:, :count] * norm
         out = np.empty((len(t), count))
         out[:, 0] = (t - t0) / np.sqrt(length)
@@ -173,34 +160,34 @@ class OrthonormalBasis:
             out[:, 1:] = (length / 2.0) * norm[1:] * (p[:, 2:count + 1] - p[:, 0:count - 1]) / (2 * i + 1)
         return out
 
-    def _fourier_block(self, t, count, derivative):
+    def _fourier_block(self, t, count, antiderivative):
         t0, length = self.interval.t0, self.interval.length
         u = (t - t0) / length
         out = np.empty((len(t), count))
-        out[:, 0] = (t - t0) / np.sqrt(length) if derivative else 1.0 / np.sqrt(length)
+        out[:, 0] = (t - t0) / np.sqrt(length) if antiderivative else 1.0 / np.sqrt(length)
         amp = np.sqrt(2.0 / length)
         for i in range(1, count):
             k = (i + 1) // 2
             ang = 2.0 * np.pi * k * u
             if i % 2 == 1:  # sine harmonic
-                out[:, i] = np.sqrt(2.0 * length) * (1.0 - np.cos(ang)) / (2.0 * np.pi * k) if derivative \
-                    else amp * np.sin(ang)
+                out[:, i] = (np.sqrt(2.0 * length) * (1.0 - np.cos(ang)) / (2.0 * np.pi * k)
+                             if antiderivative else amp * np.sin(ang))
             else:  # cosine harmonic
-                out[:, i] = np.sqrt(2.0 * length) * np.sin(ang) / (2.0 * np.pi * k) if derivative \
-                    else amp * np.cos(ang)
+                out[:, i] = (np.sqrt(2.0 * length) * np.sin(ang) / (2.0 * np.pi * k)
+                             if antiderivative else amp * np.cos(ang))
         return out
 
-    def _haar_block(self, t, count, derivative):
+    def _haar_block(self, t, count, antiderivative):
         t0, length = self.interval.t0, self.interval.length
         s = (t - t0) / length
         out = np.zeros((len(t), count))
-        out[:, 0] = (t - t0) / np.sqrt(length) if derivative else 1.0 / np.sqrt(length)
+        out[:, 0] = (t - t0) / np.sqrt(length) if antiderivative else 1.0 / np.sqrt(length)
         for i in range(1, count):
             level = int(np.floor(np.log2(i)))
             k = i - (1 << level)
             x = s * (1 << level) - k  # wavelet-local coordinate in [0, 1]
             amp = (2.0 ** (0.5 * level)) / np.sqrt(length)
-            if not derivative:
+            if not antiderivative:
                 inside = (x >= 0.0) & (x <= 1.0)
                 out[:, i] = np.where(inside, np.where(x < 0.5, amp, -amp), 0.0)
             else:

@@ -17,7 +17,7 @@ import json
 import platform
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -40,7 +40,7 @@ from .kernel import (
     default_eps_schedule,
 )
 from .quadrature import QuadratureConfig, QuadratureError
-from .reports import jsonable
+from .reports import TraceReport, jsonable
 from .stochastic import brownian_midpoint_oracle, mc_campaign
 from .trace import (
     basis_independence,
@@ -54,18 +54,6 @@ from .trace import (
 from .weights import PolynomialWeight, TabulatedWeight, TrigSumWeight
 
 __all__ = ["main", "parse_weight", "parse_kernel", "csv_from_payload", "ConfigError"]
-
-EXPERIMENTS = (
-    "coeffs",
-    "theorem2",
-    "theorem1",
-    "eq7",
-    "basis-independence",
-    "tensor-trace",
-    "kernel-trace",
-    "simulate",
-)
-
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
@@ -135,15 +123,11 @@ def parse_kernel(text: str, interval: Interval, phi=None, psi=None):
         cls = {"sym": SymmetrizedVolterra, "volterra": VolterraProduct,
                "rank1": SeparableRankOne}[text]
         return cls(phi, psi)
-    if text.startswith("min:"):
-        n, m = int_pair(text[len("min:"):])
-        return MonomialMin(n, m, interval)
-    if text.startswith("max:"):
-        n, m = int_pair(text[len("max:"):])
-        return MonomialMax(n, m, interval)
-    if text.startswith("cexp:"):
-        n, m = int_pair(text[len("cexp:"):])
-        return ComplexExponential(n, m, interval)
+    parametric = (("min:", MonomialMin), ("max:", MonomialMax), ("cexp:", ComplexExponential))
+    for prefix, cls in parametric:
+        if text.startswith(prefix):
+            n, m = int_pair(text[len(prefix):])
+            return cls(n, m, interval)
     raise ValueError(
         f"unknown kernel spec {text!r}; use sym | volterra | rank1 | min:n,m | max:n,m | cexp:n,m"
     )
@@ -151,6 +135,18 @@ def parse_kernel(text: str, interval: Interval, phi=None, psi=None):
 
 # ---------------------------------------------------------------------------
 # configuration
+
+
+# smallest allowed value of each bounded integer field
+_MINIMA = {"nmax": 1, "n_reduced": 1, "paths": 2, "workers": 1, "oracle_draws": 0,
+           "oracle_mesh": 1, "mesh": 1, "panels": 1, "nodes": 1}
+# allowed values of each enumerated field, also offered as the flags' choices
+_CHOICES = {"pair": ("12", "23", "13"), "scheme": ("expansion", "brownian")}
+
+
+def _kind(f) -> type:
+    """The declared type of a config field: that of its default, else str."""
+    return str if f.default is None or f.default is MISSING else type(f.default)
 
 
 @dataclass
@@ -188,34 +184,27 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError("experiment", f"unknown experiment {self.experiment!r}")
+        for f in fields(self):
+            value, kind = getattr(self, f.name), _kind(f)
+            if value is None and f.default is None:
+                continue
+            accepted = (int, float) if kind is float else kind
+            if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+                raise ConfigError(f.name, f"must be of type {kind.__name__}, got {value!r}")
         if not (self.T > self.t0):
             raise ConfigError("T", f"need T > t0, got [{self.t0}, {self.T}]")
-        if self.nmax < 1:
-            raise ConfigError("nmax", f"must be >= 1, got {self.nmax}")
         if not (self.tol > 0.0):
             raise ConfigError("tol", f"must be positive, got {self.tol}")
         if self.eps_kmin > self.eps_kmax:
             raise ConfigError("eps_kmin", "schedule must decrease: need eps_kmin <= eps_kmax")
-        if self.pair not in ("12", "23", "13"):
-            raise ConfigError("pair", f"must be one of 12, 23, 13, got {self.pair!r}")
-        if self.n_reduced < 1:
-            raise ConfigError("n_reduced", f"must be >= 1, got {self.n_reduced}")
-        if self.paths < 2:
-            raise ConfigError("paths", f"must be >= 2, got {self.paths}")
-        if self.workers < 1:
-            raise ConfigError("workers", f"must be >= 1, got {self.workers}")
-        if self.oracle_draws < 0:
-            raise ConfigError("oracle_draws", f"must be >= 0, got {self.oracle_draws}")
-        if self.oracle_mesh < 1:
-            raise ConfigError("oracle_mesh", f"must be >= 1, got {self.oracle_mesh}")
-        if self.scheme not in ("expansion", "brownian"):
-            raise ConfigError("scheme", f"must be expansion or brownian, got {self.scheme!r}")
-        if self.mesh < 1:
-            raise ConfigError("mesh", f"must be >= 1, got {self.mesh}")
-        if self.panels < 1:
-            raise ConfigError("panels", f"must be >= 1, got {self.panels}")
-        if self.nodes < 1:
-            raise ConfigError("nodes", f"must be >= 1, got {self.nodes}")
+        for name, least in _MINIMA.items():
+            if getattr(self, name) < least:
+                raise ConfigError(name, f"must be >= {least}, got {getattr(self, name)}")
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                listed = (" or ".join(allowed) if len(allowed) == 2
+                          else "one of " + ", ".join(allowed))
+                raise ConfigError(name, f"must be {listed}, got {getattr(self, name)!r}")
 
     @property
     def interval(self) -> Interval:
@@ -297,9 +286,7 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _cell(value) -> str:
     """Deterministic CSV cell: shortest-repr floats, complex as re+imj."""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
+    if isinstance(value, int):  # bool included
         return str(value)
     if isinstance(value, float):
         return repr(value)
@@ -312,11 +299,8 @@ def csv_from_payload(payload: dict) -> str:
     """Regenerate the CSV table from a JSON payload alone."""
     experiment = payload.get("experiment")
     if experiment == "simulate":
-        header = "n_paths,N,mean,variance,ci95,target_trace,target_half_inner"
-        row = ",".join(_cell(payload[k]) for k in (
-            "n_paths", "N", "mean", "variance", "ci95", "target_trace", "target_half_inner"
-        ))
-        return header + "\n" + row + "\n"
+        columns = ("n_paths", "N", "mean", "variance", "ci95", "target_trace", "target_half_inner")
+        return ",".join(columns) + "\n" + ",".join(_cell(payload[k]) for k in columns) + "\n"
     if experiment == "coeffs":
         lines = ["i,j,entry"]
         for i, row in enumerate(payload["entries"]):
@@ -351,87 +335,106 @@ def _write_outputs(out_prefix: str, payload: dict, wall_ms: float) -> None:
 # experiments
 
 
+def _coeffs(c: ExperimentConfig):
+    matrix = cached_coefficient_matrix(
+        c.weight("phi"), c.weight("psi"), c.make_basis(), c.nmax, c.quadrature,
+        directory=c.cache_dir,
+    )
+    return jsonable({
+        "experiment": "coeffs",
+        "basis": matrix.basis_id,
+        "weights": list(matrix.weight_ids),
+        "N": matrix.count,
+        "quad": matrix.quad_fingerprint,
+        "trace": matrix.trace,
+        "entries": matrix.entries,
+    }), True
+
+
+def _theorem2(c: ExperimentConfig):
+    return verify_volterra_trace(
+        c.weight("phi"), c.weight("psi"), c.make_basis(), c.nmax, c.quadrature, tol=c.tol)
+
+
+def _theorem1(c: ExperimentConfig):
+    spec = c.make_kernel()
+    schedule = default_eps_schedule(c.interval, c.eps_kmin, c.eps_kmax)
+    return two_route_kernel_trace(spec, c.make_basis(), c.nmax, schedule, c.quadrature, tol=c.tol)
+
+
+def _eq7(c: ExperimentConfig):
+    return verify_symmetric_pair_sum(
+        c.weight("phi"), c.weight("psi"), c.make_basis(), c.nmax, c.quadrature, tol=c.tol)
+
+
+def _basis_independence(c: ExperimentConfig):
+    return basis_independence(
+        c.weight("phi"), c.weight("psi"), c.basis_list(), c.nmax, c.quadrature, tol=c.tol)
+
+
+def _tensor_trace(c: ExperimentConfig):
+    w1, w2, w3 = c.weight("w1"), c.weight("w2"), c.weight("w3")
+    basis = c.make_basis()
+    tensor = tensor_coefficients(w1, w2, w3, basis, c.nmax, c.quadrature)
+    if c.pair == "13":
+        return tensor_nonneighbor_trace(tensor, tol=c.tol)
+    return tensor_neighbor_trace(
+        tensor, w1, w2, w3, basis, pair=(1, 2) if c.pair == "12" else (2, 3),
+        n_reduced=c.n_reduced, quad=c.quadrature, tol=c.tol,
+    )
+
+
+def _kernel_trace(c: ExperimentConfig):
+    return verify_kernel_trace(c.make_kernel(), c.make_basis(), c.nmax, c.quadrature, tol=c.tol)
+
+
+def _simulate(c: ExperimentConfig):
+    phi, psi = c.weight("phi"), c.weight("psi")
+    if c.scheme == "brownian":
+        report = brownian_midpoint_oracle(
+            phi, psi, c.interval, seed=c.seed, n_paths=c.paths, mesh=c.mesh)
+    else:
+        report = mc_campaign(
+            phi, psi, c.make_basis(), c.nmax, c.paths,
+            seed=c.seed, same_process=not c.distinct,
+            workers=c.workers, oracle_draws=c.oracle_draws,
+            oracle_mesh=c.oracle_mesh, quad=c.quadrature,
+        )
+    standard_error = (report.variance / report.n_paths) ** 0.5
+    return report.payload(), abs(report.mean - report.target_trace) <= 3.0 * standard_error
+
+
+# subcommand -> (help line, its own flags, runner); every subcommand also takes
+# _COMMON_FLAGS.  A runner returns a TraceReport or a (payload, converged) pair.
+EXPERIMENTS = {
+    "coeffs": ("compute (and cache) a coefficient matrix",
+               ("phi", "psi", "basis", "nmax", "cache_dir"), _coeffs),
+    "theorem2": ("diagonal sums against half the inner product",
+                 ("phi", "psi", "basis", "nmax", "tol"), _theorem2),
+    "theorem1": ("kernel trace by expansion and by box averaging",
+                 ("kernel", "phi", "psi", "basis", "nmax", "eps_kmin", "eps_kmax", "tol"),
+                 _theorem1),
+    "eq7": ("symmetric pair sums against the full inner product",
+            ("phi", "psi", "basis", "nmax", "tol"), _eq7),
+    "basis-independence": ("diagonal sums across bases",
+                           ("phi", "psi", "bases", "nmax", "tol"), _basis_independence),
+    "tensor-trace": ("order-3 partial traces",
+                     ("w1", "w2", "w3", "basis", "nmax", "pair", "n_reduced", "tol"),
+                     _tensor_trace),
+    "kernel-trace": ("expansion diagonal sums of a kernel",
+                     ("kernel", "phi", "psi", "basis", "nmax", "tol"), _kernel_trace),
+    "simulate": ("Monte Carlo iterated integrals",
+                 ("phi", "psi", "basis", "nmax", "paths", "seed", "workers", "distinct",
+                  "oracle_draws", "oracle_mesh", "scheme", "mesh"), _simulate),
+}
+
+
 def _run(config: ExperimentConfig) -> int:
     started = time.perf_counter()
-    quad = config.quadrature
-
-    if config.experiment == "coeffs":
-        matrix = cached_coefficient_matrix(
-            config.weight("phi"), config.weight("psi"), config.make_basis(),
-            config.nmax, quad, directory=config.cache_dir,
-        )
-        payload = jsonable({
-            "experiment": "coeffs",
-            "basis": matrix.basis_id,
-            "weights": list(matrix.weight_ids),
-            "N": matrix.count,
-            "quad": matrix.quad_fingerprint,
-            "trace": matrix.trace,
-            "entries": matrix.entries,
-        })
-        converged = True
-    elif config.experiment == "theorem2":
-        report = verify_volterra_trace(
-            config.weight("phi"), config.weight("psi"), config.make_basis(),
-            config.nmax, quad, tol=config.tol,
-        )
-        payload, converged = report.payload(), report.converged
-    elif config.experiment == "theorem1":
-        spec = config.make_kernel()
-        schedule = default_eps_schedule(config.interval, config.eps_kmin, config.eps_kmax)
-        report = two_route_kernel_trace(
-            spec, config.make_basis(), config.nmax, schedule, quad, tol=config.tol,
-        )
-        payload, converged = report.payload(), report.converged
-    elif config.experiment == "eq7":
-        report = verify_symmetric_pair_sum(
-            config.weight("phi"), config.weight("psi"), config.make_basis(),
-            config.nmax, quad, tol=config.tol,
-        )
-        payload, converged = report.payload(), report.converged
-    elif config.experiment == "basis-independence":
-        report = basis_independence(
-            config.weight("phi"), config.weight("psi"), config.basis_list(),
-            config.nmax, quad, tol=config.tol,
-        )
-        payload, converged = report.payload(), report.converged
-    elif config.experiment == "tensor-trace":
-        w1, w2, w3 = config.weight("w1"), config.weight("w2"), config.weight("w3")
-        basis = config.make_basis()
-        tensor = tensor_coefficients(w1, w2, w3, basis, config.nmax, quad)
-        if config.pair == "13":
-            report = tensor_nonneighbor_trace(tensor, tol=config.tol)
-        else:
-            pair = (1, 2) if config.pair == "12" else (2, 3)
-            report = tensor_neighbor_trace(
-                tensor, w1, w2, w3, basis, pair=pair,
-                n_reduced=config.n_reduced, quad=quad, tol=config.tol,
-            )
-        payload, converged = report.payload(), report.converged
-    elif config.experiment == "kernel-trace":
-        report = verify_kernel_trace(
-            config.make_kernel(), config.make_basis(), config.nmax, quad, tol=config.tol,
-        )
-        payload, converged = report.payload(), report.converged
-    elif config.experiment == "simulate":
-        phi, psi = config.weight("phi"), config.weight("psi")
-        if config.scheme == "brownian":
-            report = brownian_midpoint_oracle(
-                phi, psi, config.interval, seed=config.seed,
-                n_paths=config.paths, mesh=config.mesh,
-            )
-        else:
-            report = mc_campaign(
-                phi, psi, config.make_basis(), config.nmax, config.paths,
-                seed=config.seed, same_process=not config.distinct,
-                workers=config.workers, oracle_draws=config.oracle_draws,
-                oracle_mesh=config.oracle_mesh, quad=quad,
-            )
-        payload = report.payload()
-        standard_error = (report.variance / report.n_paths) ** 0.5
-        converged = abs(report.mean - report.target_trace) <= 3.0 * standard_error
-    else:  # pragma: no cover - validate() already rejects this
-        raise ConfigError("experiment", f"unknown experiment {config.experiment!r}")
+    outcome = EXPERIMENTS[config.experiment][2](config)
+    if isinstance(outcome, TraceReport):
+        outcome = outcome.payload(), outcome.converged
+    payload, converged = outcome
 
     wall_ms = (time.perf_counter() - started) * 1000.0
     out_prefix = config.out if config.out is not None else config.experiment
@@ -455,98 +458,50 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; explicit flags override it")
-    p.add_argument("--t0", type=float, help="interval start (default 0)")
-    p.add_argument("--T", type=float, help="interval end (default 1)")
-    p.add_argument("--panels", type=int, help="quadrature panels (default 16)")
-    p.add_argument("--nodes", type=int, help="quadrature nodes per panel (default 8)")
-    p.add_argument("--out", help="output file prefix (default: experiment name)")
+# help and choices per flag; `--name` (dashes for underscores) sets the config
+# field `name`, whose declared type is the flag's type
+_FLAG_OPTIONS = {
+    "phi": {"help": 'first weight, e.g. "poly:1"'},
+    "psi": {"help": 'second weight, e.g. "poly:0,1"'},
+    "w1": {"help": "innermost weight"},
+    "w2": {"help": "middle weight"},
+    "w3": {"help": "outermost weight"},
+    "kernel": {"help": '"min:n,m" | "max:n,m" | "cexp:n,m" | sym | volterra | rank1'},
+    "basis": {"choices": FAMILIES},
+    "bases": {"help": "comma-separated families (default: all three)"},
+    "nmax": {"help": "truncation order (default 128)"},
+    "eps_kmin": {"help": "schedule starts at L/2^kmin"},
+    "eps_kmax": {"help": "schedule ends at L/2^kmax"},
+    "pair": {"choices": _CHOICES["pair"], "help": "slots to trace over"},
+    "distinct": {"help": "use independent noises in the two layers"},
+    "scheme": {"choices": _CHOICES["scheme"]},
+    "mesh": {"help": "Brownian oracle mesh"},
+    "cache_dir": {"help": "override STRC_CACHE_DIR"},
+    "config": {"help": "JSON config file; explicit flags override it"},
+    "t0": {"help": "interval start (default 0)"},
+    "T": {"help": "interval end (default 1)"},
+    "panels": {"help": "quadrature panels (default 16)"},
+    "nodes": {"help": "quadrature nodes per panel (default 8)"},
+    "out": {"help": "output file prefix (default: experiment name)"},
+}
+_COMMON_FLAGS = ("config", "t0", "T", "panels", "nodes", "out")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="stratrace", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="experiment", required=True, parser_class=_Parser)
-
-    def weights_flags(p, phi=True, psi=True):
-        if phi:
-            p.add_argument("--phi", help='first weight, e.g. "poly:1"')
-        if psi:
-            p.add_argument("--psi", help='second weight, e.g. "poly:0,1"')
-
-    p = sub.add_parser("coeffs", help="compute (and cache) a coefficient matrix")
-    weights_flags(p)
-    p.add_argument("--basis", choices=FAMILIES)
-    p.add_argument("--nmax", type=int, help="matrix size (default 128)")
-    p.add_argument("--cache-dir", dest="cache_dir", help="override STRC_CACHE_DIR")
-    _add_common(p)
-
-    p = sub.add_parser("theorem2", help="diagonal sums against half the inner product")
-    weights_flags(p)
-    p.add_argument("--basis", choices=FAMILIES)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--tol", type=float)
-    _add_common(p)
-
-    p = sub.add_parser("theorem1", help="kernel trace by expansion and by box averaging")
-    p.add_argument("--kernel", help='"min:n,m" | "max:n,m" | "cexp:n,m" | sym | volterra | rank1')
-    weights_flags(p)
-    p.add_argument("--basis", choices=FAMILIES)
-    p.add_argument("--nmax", type=int, help="expansion truncation (default 128)")
-    p.add_argument("--eps-kmin", dest="eps_kmin", type=int, help="schedule starts at L/2^kmin")
-    p.add_argument("--eps-kmax", dest="eps_kmax", type=int, help="schedule ends at L/2^kmax")
-    p.add_argument("--tol", type=float)
-    _add_common(p)
-
-    p = sub.add_parser("eq7", help="symmetric pair sums against the full inner product")
-    weights_flags(p)
-    p.add_argument("--basis", choices=FAMILIES)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--tol", type=float)
-    _add_common(p)
-
-    p = sub.add_parser("basis-independence", help="diagonal sums across bases")
-    weights_flags(p)
-    p.add_argument("--bases", help="comma-separated families (default: all three)")
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--tol", type=float)
-    _add_common(p)
-
-    p = sub.add_parser("tensor-trace", help="order-3 partial traces")
-    p.add_argument("--w1", help="innermost weight")
-    p.add_argument("--w2", help="middle weight")
-    p.add_argument("--w3", help="outermost weight")
-    p.add_argument("--basis", choices=FAMILIES)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--pair", choices=("12", "23", "13"), help="slots to trace over")
-    p.add_argument("--n-reduced", dest="n_reduced", type=int)
-    p.add_argument("--tol", type=float)
-    _add_common(p)
-
-    p = sub.add_parser("kernel-trace", help="expansion diagonal sums of a kernel")
-    p.add_argument("--kernel")
-    weights_flags(p)
-    p.add_argument("--basis", choices=FAMILIES)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--tol", type=float)
-    _add_common(p)
-
-    p = sub.add_parser("simulate", help="Monte Carlo iterated integrals")
-    weights_flags(p)
-    p.add_argument("--basis", choices=FAMILIES)
-    p.add_argument("--nmax", type=int, help="truncation order")
-    p.add_argument("--paths", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--distinct", action="store_const", const=True,
-                   help="use independent noises in the two layers")
-    p.add_argument("--oracle-draws", dest="oracle_draws", type=int)
-    p.add_argument("--oracle-mesh", dest="oracle_mesh", type=int)
-    p.add_argument("--scheme", choices=("expansion", "brownian"))
-    p.add_argument("--mesh", type=int, help="Brownian oracle mesh")
-    _add_common(p)
-
+    kinds = {f.name: _kind(f) for f in fields(ExperimentConfig)}
+    for name, (help_line, flags, _) in EXPERIMENTS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag in flags + _COMMON_FLAGS:
+            options = dict(_FLAG_OPTIONS.get(flag, {}))
+            kind = kinds.get(flag, str)
+            if kind is bool:
+                options.update(action="store_const", const=True)
+            elif kind is not str:
+                options["type"] = kind
+            p.add_argument("--" + flag.replace("_", "-"), dest=flag, **options)
     return parser
 
 
@@ -556,10 +511,7 @@ def main(argv=None) -> int:
     try:
         config = _merge_config(args)
         return _run(config)
-    except ConfigError as exc:
-        print(f"stratrace: error: {exc}", file=sys.stderr)
-        return 1
-    except (QuadratureError, CacheCorruptError, ValueError, OSError) as exc:
+    except (QuadratureError, CacheCorruptError, ValueError, OSError) as exc:  # ConfigError too
         print(f"stratrace: error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,10 +5,13 @@ The central objects are the matrices
     G[i, j] = int_{t0}^{T} phi(t) q_i(t) (int_{t0}^{t} psi(s) q_j(s) ds) dt
 
 for a weight pair (phi, psi), their order-3 analogue for weight triples, and
-the same expansion for general two-variable kernels.  Running primitives are
-evaluated with per-panel prefix sums plus a nested Gauss rule on the partial
-panel, so every entry is exact (up to roundoff) whenever the weights and
-basis make the integrands piecewise polynomial or resolved oscillations.
+the same expansion for general two-variable kernels.  Every running primitive
+(and the mid-level running integral of the order-3 tensors) comes from
+`quadrature._running_integral`: per-panel prefix sums plus a Gauss rule on the
+partial panel, so every entry is exact (up to roundoff) whenever the weights
+and basis make the integrands piecewise polynomial or resolved oscillations.
+The general-kernel route (`_kernel_tables`) keeps its own two-dimensional
+quadrature on purpose, as an independent check on that machinery.
 
 Matrices and tensors can be cached on disk in a small binary format keyed by
 a content hash; see `matrix_key`, `cache_store`, `cache_load`.
@@ -27,12 +30,13 @@ import numpy as np
 from .basis import Interval, OrthonormalBasis
 from .kernel import Kernel
 from .quadrature import (
+    _CHUNK_POINTS,
     DEFAULT_QUADRATURE,
     CompositeRule,
     QuadratureConfig,
+    _running_integral,
+    _segment_nodes,
     composite_rule,
-    nested_rule,
-    nodes_for,
     scaled_segments,
 )
 from .weights import WeightFunction
@@ -58,10 +62,6 @@ __all__ = [
     "cache_load",
     "cached_coefficient_matrix",
 ]
-
-# cap on the number of points evaluated in one basis-block call
-_CHUNK_POINTS = 32768
-
 
 # ---------------------------------------------------------------------------
 # result containers
@@ -105,11 +105,19 @@ class CoefficientTensor:
         return self.entries.shape[0]
 
 
+def _result(cls, entries, basis: OrthonormalBasis, weight_ids: tuple, quad: QuadratureConfig):
+    """A result container stamped with the identifiers that produced it."""
+    return cls(entries=entries, basis_id=basis.id, weight_ids=weight_ids,
+               interval=basis.interval, quad_fingerprint=quad.fingerprint())
+
+
 # ---------------------------------------------------------------------------
 # shared demand bookkeeping
 
 
-def _check_same_interval(basis: OrthonormalBasis, *weights: WeightFunction):
+def _check_inputs(basis: OrthonormalBasis, count: int, *weights: WeightFunction):
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     for w in weights:
         if w.interval != basis.interval:
             raise ValueError(
@@ -124,11 +132,9 @@ def _union_breakpoints(basis: OrthonormalBasis, count: int, *weights):
     return np.unique(np.concatenate(pieces)) if pieces else np.empty(0)
 
 
-def _inner_nodes(quad: QuadratureConfig, rule: CompositeRule, degree: int, phase: float) -> int:
-    """Node count for nested segments, which never exceed one panel in width."""
-    iv_len = rule.edges[-1] - rule.edges[0]
-    frac = np.diff(rule.edges).max() / iv_len
-    return nodes_for(quad, degree, phase * frac if phase > 0.0 else 0.0)
+def _basis_values(basis: OrthonormalBasis, count: int):
+    """Points of any shape -> q_j at those points, basis index last."""
+    return lambda y: basis.evaluate_block(np.ravel(y), count).reshape(np.shape(y) + (count,))
 
 
 def _running_primitive(
@@ -137,53 +143,27 @@ def _running_primitive(
     count: int,
     quad: QuadratureConfig,
     rule: CompositeRule,
-) -> np.ndarray:
-    """Psi[g, j] = int_{t0}^{x_g} weight(s) q_j(s) ds at every outer node.
-
-    Full panels left of the node come from prefix sums over the outer rule
-    (exact there by construction); the partial panel uses a nested Gauss rule.
-    """
-    q_at_nodes = basis.evaluate_block(rule.x, count)
-    w_at_nodes = weight(rule.x)
-    per_panel = rule.panel_sums(w_at_nodes[:, None] * q_at_nodes)
-    prefix = np.vstack([np.zeros((1, count)), np.cumsum(per_panel, axis=0)[:-1]])
-
-    m = _inner_nodes(quad, rule, weight.degree + basis.degree_hint(count),
-                     weight.phase + basis.phase_hint(count))
-    nested = nested_rule(rule, m)
-    partial = np.empty((len(rule.x), count))
-    rows = max(1, _CHUNK_POINTS // m)
-    for lo in range(0, len(rule.x), rows):
-        hi = min(lo + rows, len(rule.x))
-        y = nested.y[lo:hi]
-        v = nested.v[lo:hi]
-        q = basis.evaluate_block(y.ravel(), count).reshape(y.shape + (count,))
-        partial[lo:hi] = np.einsum("gm,gm,gmj->gj", v, weight(y), q)
-    return prefix[rule.panel_index] + partial
+):
+    """Psi(p)[..., j] = int_{t0}^{p} weight(s) q_j(s) ds, as a function of points."""
+    return _running_integral(rule, quad, weight, weight.degree + basis.degree_hint(count),
+                             weight.phase + basis.phase_hint(count), _basis_values(basis, count))
 
 
-def _volterra_rule(
-    phi: WeightFunction,
-    psi: WeightFunction,
-    basis: OrthonormalBasis,
-    count: int,
-    quad: QuadratureConfig,
-) -> CompositeRule:
+def _volterra_tables(phi, psi, basis, count, quad):
+    """Tables on one outer rule whose contraction over nodes gives G:
+    left[g, i] = w_g phi(x_g) q_i(x_g) and the running primitive Psi[g, j]."""
+    _check_inputs(basis, count, phi, psi)
     iv = basis.interval
-    return composite_rule(
+    rule = composite_rule(
         iv.t0, iv.T, quad,
         breakpoints=_union_breakpoints(basis, count, phi, psi),
         degree=phi.degree + psi.degree + 2 * (basis.degree_hint(count) + 1),
         phase=phi.phase + psi.phase + 2 * basis.phase_hint(count),
     )
-
-
-def _volterra_tables(phi, psi, basis, count, quad):
-    rule = _volterra_rule(phi, psi, basis, count, quad)
     q_out = basis.evaluate_block(rule.x, count)
-    psi_run = _running_primitive(psi, basis, count, quad, rule)
+    psi_run = _running_primitive(psi, basis, count, quad, rule)(rule.x)
     left = (rule.w * phi(rule.x))[:, None] * q_out
-    return rule, left, psi_run
+    return left, psi_run
 
 
 # ---------------------------------------------------------------------------
@@ -198,18 +178,9 @@ def coefficient_matrix(
     quad: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> CoefficientMatrix:
     """All entries G[i, j] for i, j < count."""
-    _check_same_interval(basis, phi, psi)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    _, left, psi_run = _volterra_tables(phi, psi, basis, count, quad)
+    left, psi_run = _volterra_tables(phi, psi, basis, count, quad)
     entries = left.T @ psi_run
-    return CoefficientMatrix(
-        entries=entries,
-        basis_id=basis.id,
-        weight_ids=(phi.id, psi.id),
-        interval=basis.interval,
-        quad_fingerprint=quad.fingerprint(),
-    )
+    return _result(CoefficientMatrix, entries, basis, (phi.id, psi.id), quad)
 
 
 def coefficient(
@@ -235,10 +206,7 @@ def volterra_diagonal(
     quad: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> np.ndarray:
     """The diagonal G[i, i] for i < count, without forming the full matrix."""
-    _check_same_interval(basis, phi, psi)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    _, left, psi_run = _volterra_tables(phi, psi, basis, count, quad)
+    left, psi_run = _volterra_tables(phi, psi, basis, count, quad)
     return np.einsum("gi,gi->i", left, psi_run)
 
 
@@ -259,12 +227,8 @@ def volterra_norm_sq(
     rule = composite_rule(iv.t0, iv.T, quad, breakpoints=breaks,
                           degree=2 * (phi.degree + psi.degree) + 1,
                           phase=2 * (phi.phase + psi.phase))
-    m = _inner_nodes(quad, rule, 2 * psi.degree, 2 * psi.phase)
-    nested = nested_rule(rule, m)
-    per_panel = rule.panel_sums(psi(rule.x) ** 2)
-    prefix = np.concatenate([[0.0], np.cumsum(per_panel)[:-1]])
-    partial = np.einsum("gm,gm->g", nested.v, psi(nested.y) ** 2)
-    running = prefix[rule.panel_index] + partial
+    running = _running_integral(rule, quad, lambda y: psi(y) ** 2,
+                                2 * psi.degree, 2 * psi.phase)(rule.x)
     return float(rule.integrate(phi(rule.x) ** 2 * running))
 
 
@@ -275,7 +239,7 @@ def weight_basis_inner(
     quad: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> np.ndarray:
     """Vector of inner products (w, q_i) for i < count."""
-    _check_same_interval(basis, w)
+    _check_inputs(basis, count, w)
     iv = basis.interval
     rule = composite_rule(
         iv.t0, iv.T, quad,
@@ -299,6 +263,8 @@ def _kernel_tables(spec: Kernel, basis: OrthonormalBasis, count: int, quad: Quad
     never uses the one-sided factorized form, which keeps it an independent
     check on the running-primitive engine.
     """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     if spec.interval != basis.interval:
         raise ValueError(f"kernel lives on {spec.interval.id}, basis on {basis.interval.id}")
     iv = spec.interval
@@ -309,7 +275,7 @@ def _kernel_tables(spec: Kernel, basis: OrthonormalBasis, count: int, quad: Quad
     rule = composite_rule(iv.t0, iv.T, quad, breakpoints=breaks,
                           degree=2 * degree + 1, phase=2 * phase)
     ladder = np.concatenate([[iv.t0], breaks[(breaks > iv.t0) & (breaks < iv.T)], [iv.T]])
-    n_in = _inner_nodes(quad, rule, degree, phase)
+    n_in = _segment_nodes(quad, rule, degree, phase)
 
     dtype = complex if spec.is_complex else float
     inner = np.zeros((len(rule.x), count), dtype=dtype)
@@ -340,18 +306,10 @@ def kernel_matrix(
     quad: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> CoefficientMatrix:
     """Expansion matrix K[i, j] = int int f(t, tau) q_i(t) q_j(tau) dtau dt."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
     rule, inner = _kernel_tables(spec, basis, count, quad)
     q_out = basis.evaluate_block(rule.x, count)
     entries = (rule.w[:, None] * q_out).T @ inner
-    return CoefficientMatrix(
-        entries=entries,
-        basis_id=basis.id,
-        weight_ids=(spec.id,),
-        interval=basis.interval,
-        quad_fingerprint=quad.fingerprint(),
-    )
+    return _result(CoefficientMatrix, entries, basis, (spec.id,), quad)
 
 
 def kernel_diagonal(
@@ -361,8 +319,6 @@ def kernel_diagonal(
     quad: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> np.ndarray:
     """The diagonal K[i, i] for i < count."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
     rule, inner = _kernel_tables(spec, basis, count, quad)
     q_out = basis.evaluate_block(rule.x, count)
     return np.einsum("g,gi,gi->i", rule.w, q_out, inner)
@@ -397,13 +353,11 @@ def tensor_coefficients(
     """Entries[i1, i2, i3] = int w3 q_{i3}(t) (int^t w2 q_{i2}(s) (int^s w1 q_{i1}(r) dr) ds) dt,
     the iterated integral over t > s > r with w1 innermost and w3 outermost.
 
-    Three nesting levels: the innermost primitive is tabulated at the outer
-    nodes and at the nested mid-level nodes, the mid-level primitive at the
-    outer nodes, and the outer rule finishes the job.
+    Three nesting levels: the innermost primitive is evaluated at the outer
+    nodes and at the mid level's partial-panel nodes, the mid-level running
+    integral at the outer nodes, and the outer rule finishes the job.
     """
-    _check_same_interval(basis, w1, w2, w3)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _check_inputs(basis, count, w1, w2, w3)
     iv = basis.interval
     bdeg, bph = basis.degree_hint(count), basis.phase_hint(count)
     rule = composite_rule(
@@ -412,54 +366,18 @@ def tensor_coefficients(
         degree=w1.degree + w2.degree + w3.degree + 3 * (bdeg + 1),
         phase=w1.phase + w2.phase + w3.phase + 3 * bph,
     )
-    G = len(rule.x)
-
-    # innermost primitive at the outer nodes, Psi1[g, i1]
+    q = _basis_values(basis, count)
+    # innermost primitive Psi1 as a function of points: needed at the outer
+    # nodes and at the partial-panel nodes of the mid level
     psi1 = _running_primitive(w1, basis, count, quad, rule)
-
-    # mid-level integrand at the outer nodes and its per-panel prefix sums
-    q_out = basis.evaluate_block(rule.x, count)
-    g_mid = (w2(rule.x)[:, None] * q_out)[:, :, None] * psi1[:, None, :]
-    per_panel = rule.panel_sums(g_mid)
-    prefix2 = np.concatenate(
-        [np.zeros((1, count, count)), np.cumsum(per_panel, axis=0)[:-1]], axis=0
-    )
-
-    # partial mid-level panels via nested nodes y, with the innermost
-    # primitive re-evaluated at those y from its own panel prefix
-    m = _inner_nodes(quad, rule, w1.degree + w2.degree + 2 * bdeg + 1,
-                     w1.phase + w2.phase + 2 * bph)
-    m2 = _inner_nodes(quad, rule, w1.degree + bdeg, w1.phase + bph)
-    nested = nested_rule(rule, m)
-    per_panel1 = rule.panel_sums(w1(rule.x)[:, None] * q_out)
-    prefix1 = np.vstack([np.zeros((1, count)), np.cumsum(per_panel1, axis=0)[:-1]])
-
-    lam_partial = np.empty((G, count, count))
-    rows = max(1, _CHUNK_POINTS // (m * m2))
-    for lo in range(0, G, rows):
-        hi = min(lo + rows, G)
-        y, v = nested.y[lo:hi], nested.v[lo:hi]
-        starts = rule.panel_starts[lo:hi]
-        z, u = scaled_segments(starts[:, None], y, m2)
-        qz = basis.evaluate_block(z.ravel(), count).reshape(z.shape + (count,))
-        psi1_y = prefix1[rule.panel_index[lo:hi], None, :] + np.einsum(
-            "gmn,gmn,gmnk->gmk", u, w1(z), qz
-        )
-        qy = basis.evaluate_block(y.ravel(), count).reshape(y.shape + (count,))
-        lam_partial[lo:hi] = np.einsum(
-            "gm,gm,gmj,gmk->gjk", v, w2(y), qy, psi1_y
-        )
     # lam[g, i2, i1]: the mid-level running integral at each outer node
-    lam = prefix2[rule.panel_index] + lam_partial
-
+    lam = _running_integral(
+        rule, quad, w2, w1.degree + w2.degree + 2 * bdeg + 1, w1.phase + w2.phase + 2 * bph,
+        lambda y: q(y)[..., :, None] * psi1(y)[..., None, :],
+    )(rule.x)
+    q_out = q(rule.x)
     entries = np.einsum("g,go,gjk->kjo", rule.w * w3(rule.x), q_out, lam)
-    return CoefficientTensor(
-        entries=entries,
-        basis_id=basis.id,
-        weight_ids=(w1.id, w2.id, w3.id),
-        interval=basis.interval,
-        quad_fingerprint=quad.fingerprint(),
-    )
+    return _result(CoefficientTensor, entries, basis, (w1.id, w2.id, w3.id), quad)
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +394,9 @@ class CacheCorruptError(RuntimeError):
 
 _MAGIC = b"STRC"
 _VERSION = 1
+# enters every cache key; bump it whenever an engine change may move the
+# numbers, so files written by an older engine are recomputed, not served
+_ENGINE_VERSION = 1
 
 
 def _digest(parts: dict) -> str:
@@ -492,6 +413,7 @@ def matrix_key(
 ) -> str:
     """Hex content key for a Volterra coefficient matrix."""
     return _digest({
+        "engine": _ENGINE_VERSION,
         "kind": "volterra-matrix",
         "phi": phi.id,
         "psi": psi.id,
@@ -511,6 +433,7 @@ def tensor_key(
 ) -> str:
     """Hex content key for an order-3 coefficient tensor."""
     return _digest({
+        "engine": _ENGINE_VERSION,
         "kind": "volterra-tensor",
         "weights": [w1.id, w2.id, w3.id],
         "basis": basis.id,
@@ -533,9 +456,18 @@ def cache_store(entries: np.ndarray, path, key: str) -> None:
         + np.uint32(arr.shape[0]).astype("<u4").tobytes()
     )
     path = Path(path)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_bytes(header + arr.tobytes())
-    os.replace(tmp, path)
+    # a temp file of our own (random name, exclusive create) in the target
+    # directory, so concurrent writers of one key never publish each other's
+    # partial bytes
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(header + arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def cache_load(path, key: str, shape: tuple) -> np.ndarray:
@@ -584,13 +516,7 @@ def cached_coefficient_matrix(
     if path.exists():
         try:
             entries = cache_load(path, key, (count, count))
-            return CoefficientMatrix(
-                entries=entries,
-                basis_id=basis.id,
-                weight_ids=(phi.id, psi.id),
-                interval=basis.interval,
-                quad_fingerprint=quad.fingerprint(),
-            )
+            return _result(CoefficientMatrix, entries, basis, (phi.id, psi.id), quad)
         except (CacheKeyError, CacheCorruptError):
             pass
     result = coefficient_matrix(phi, psi, basis, count, quad)

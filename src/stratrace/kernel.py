@@ -16,7 +16,6 @@ lattice with the xi-integral done numerically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,141 +81,131 @@ class Kernel:
         raise NotImplementedError
 
 
-def _common_interval(phi: WeightFunction, psi: WeightFunction) -> Interval:
-    if phi.interval != psi.interval:
-        raise ValueError("weight functions live on different intervals")
-    return phi.interval
-
-
 @dataclass(frozen=True)
-class VolterraProduct(Kernel):
-    """phi(t) psi(tau) 1(t - tau): the one-sided product kernel."""
+class _WeightPair(Kernel):
+    """A kernel built from two weight functions on a common interval; the
+    quadrature hints are the weights' worst.  Kinds differ in `evaluate` and
+    in the `_name` their id carries."""
 
     phi: WeightFunction
     psi: WeightFunction
 
     def __post_init__(self):
-        object.__setattr__(self, "interval", _common_interval(self.phi, self.psi))
+        if self.phi.interval != self.psi.interval:
+            raise ValueError("weight functions live on different intervals")
+        object.__setattr__(self, "interval", self.phi.interval)
+
+    @property
+    def degree_hint(self):
+        return max(self.phi.degree, self.psi.degree)
+
+    @property
+    def phase_hint(self):
+        return max(self.phi.phase, self.psi.phase)
+
+    @property
+    def breakpoints(self):
+        return np.union1d(self.phi.breakpoints, self.psi.breakpoints)
+
+    @property
+    def id(self):
+        return f"{self._name}({self.phi.id};{self.psi.id})"
+
+
+class _TwoSided(Kernel):
+    """lower(t, tau) 1(t - tau) + upper(t, tau) 1(tau - t)."""
+
+    def evaluate(self, t, tau):
+        t = np.asarray(t, dtype=float)
+        tau = np.asarray(tau, dtype=float)
+        s = _step(t - tau)
+        return self._lower(t, tau) * s + self._upper(t, tau) * (1.0 - s)
+
+
+class VolterraProduct(_WeightPair):
+    """phi(t) psi(tau) 1(t - tau): the one-sided product kernel."""
+
+    _name = "volterra"
 
     def evaluate(self, t, tau):
         t = np.asarray(t, dtype=float)
         tau = np.asarray(tau, dtype=float)
         return self.phi(t) * self.psi(tau) * _step(t - tau)
 
-    @property
-    def degree_hint(self):
-        return max(self.phi.degree, self.psi.degree)
 
-    @property
-    def phase_hint(self):
-        return max(self.phi.phase, self.psi.phase)
-
-    @property
-    def breakpoints(self):
-        return np.union1d(self.phi.breakpoints, self.psi.breakpoints)
-
-    @property
-    def id(self):
-        return f"volterra({self.phi.id};{self.psi.id})"
-
-
-@dataclass(frozen=True)
-class SymmetrizedVolterra(Kernel):
+class SymmetrizedVolterra(_WeightPair, _TwoSided):
     """phi(t) psi(tau) 1(t - tau) + psi(t) phi(tau) 1(tau - t)."""
 
-    phi: WeightFunction
-    psi: WeightFunction
+    _name = "symmetrized"
 
-    def __post_init__(self):
-        object.__setattr__(self, "interval", _common_interval(self.phi, self.psi))
+    def _lower(self, t, tau):
+        return self.phi(t) * self.psi(tau)
+
+    def _upper(self, t, tau):
+        return self.psi(t) * self.phi(tau)
+
+
+class SeparableRankOne(_WeightPair):
+    """phi(t) psi(tau) on the whole square; no step, trivially trace class."""
+
+    _name = "rank_one"
+    has_step = False
 
     def evaluate(self, t, tau):
         t = np.asarray(t, dtype=float)
         tau = np.asarray(tau, dtype=float)
-        lower = self.phi(t) * self.psi(tau)
-        upper = self.psi(t) * self.phi(tau)
-        s = _step(t - tau)
-        return lower * s + upper * (1.0 - s)
-
-    @property
-    def degree_hint(self):
-        return max(self.phi.degree, self.psi.degree)
-
-    @property
-    def phase_hint(self):
-        return max(self.phi.phase, self.psi.phase)
-
-    @property
-    def breakpoints(self):
-        return np.union1d(self.phi.breakpoints, self.psi.breakpoints)
-
-    @property
-    def id(self):
-        return f"symmetrized({self.phi.id};{self.psi.id})"
+        return self.phi(t) * self.psi(tau)
 
 
 @dataclass(frozen=True)
-class MonomialMin(Kernel):
+class _Monomial(_TwoSided):
+    """Integer exponents n >= 0, m >= 1 on an interval."""
+
+    n: int
+    m: int
+    interval: Interval
+
+    def __post_init__(self):
+        if self.n < 0 or self.m < 1:
+            raise ValueError("monomial kernel needs n >= 0 and m >= 1")
+
+    @property
+    def degree_hint(self):
+        return self.m + self.n
+
+    @property
+    def id(self):
+        return f"{self._name}(n={self.n},m={self.m})"
+
+
+class MonomialMin(_Monomial):
     """t^n tau^(m+n) 1(t - tau) + tau^n t^(m+n) 1(tau - t)
     = (t tau)^n min(t, tau)^m, with n >= 0, m >= 1."""
 
-    n: int
-    m: int
-    interval: Interval
+    _name = "monomial_min"
 
-    def __post_init__(self):
-        if self.n < 0 or self.m < 1:
-            raise ValueError("monomial kernel needs n >= 0 and m >= 1")
+    def _lower(self, t, tau):
+        return t**self.n * tau ** (self.m + self.n)
 
-    def evaluate(self, t, tau):
-        t = np.asarray(t, dtype=float)
-        tau = np.asarray(tau, dtype=float)
-        s = _step(t - tau)
-        lower = t**self.n * tau ** (self.m + self.n)
-        upper = tau**self.n * t ** (self.m + self.n)
-        return lower * s + upper * (1.0 - s)
-
-    @property
-    def degree_hint(self):
-        return self.m + self.n
-
-    @property
-    def id(self):
-        return f"monomial_min(n={self.n},m={self.m})"
+    def _upper(self, t, tau):
+        return tau**self.n * t ** (self.m + self.n)
 
 
-@dataclass(frozen=True)
-class MonomialMax(Kernel):
+class MonomialMax(_Monomial):
     """t^(m+n) tau^n 1(t - tau) + tau^(m+n) t^n 1(tau - t)
     = (t tau)^n max(t, tau)^m, with n >= 0, m >= 1."""
 
-    n: int
-    m: int
-    interval: Interval
+    _name = "monomial_max"
 
-    def __post_init__(self):
-        if self.n < 0 or self.m < 1:
-            raise ValueError("monomial kernel needs n >= 0 and m >= 1")
+    def _lower(self, t, tau):
+        return t ** (self.m + self.n) * tau**self.n
 
-    def evaluate(self, t, tau):
-        t = np.asarray(t, dtype=float)
-        tau = np.asarray(tau, dtype=float)
-        s = _step(t - tau)
-        lower = t ** (self.m + self.n) * tau**self.n
-        upper = tau ** (self.m + self.n) * t**self.n
-        return lower * s + upper * (1.0 - s)
-
-    @property
-    def degree_hint(self):
-        return self.m + self.n
-
-    @property
-    def id(self):
-        return f"monomial_max(n={self.n},m={self.m})"
+    def _upper(self, t, tau):
+        return tau ** (self.m + self.n) * t**self.n
 
 
 @dataclass(frozen=True)
-class ComplexExponential(Kernel):
+class ComplexExponential(_TwoSided):
     """exp(i n t) exp(i m tau) 1(t - tau) + exp(i n tau) exp(i m t) 1(tau - t),
     integer n, nonzero integer m."""
 
@@ -229,13 +218,11 @@ class ComplexExponential(Kernel):
         if self.m == 0:
             raise ValueError("complex exponential kernel needs m != 0")
 
-    def evaluate(self, t, tau):
-        t = np.asarray(t, dtype=float)
-        tau = np.asarray(tau, dtype=float)
-        s = _step(t - tau)
-        lower = np.exp(1j * self.n * t) * np.exp(1j * self.m * tau)
-        upper = np.exp(1j * self.n * tau) * np.exp(1j * self.m * t)
-        return lower * s + upper * (1.0 - s)
+    def _lower(self, t, tau):
+        return np.exp(1j * self.n * t) * np.exp(1j * self.m * tau)
+
+    def _upper(self, t, tau):
+        return np.exp(1j * self.n * tau) * np.exp(1j * self.m * t)
 
     @property
     def phase_hint(self):
@@ -244,39 +231,6 @@ class ComplexExponential(Kernel):
     @property
     def id(self):
         return f"complex_exp(n={self.n},m={self.m})"
-
-
-@dataclass(frozen=True)
-class SeparableRankOne(Kernel):
-    """phi(t) psi(tau) on the whole square; no step, trivially trace class."""
-
-    phi: WeightFunction
-    psi: WeightFunction
-    has_step = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "interval", _common_interval(self.phi, self.psi))
-
-    def evaluate(self, t, tau):
-        t = np.asarray(t, dtype=float)
-        tau = np.asarray(tau, dtype=float)
-        return self.phi(t) * self.psi(tau)
-
-    @property
-    def degree_hint(self):
-        return max(self.phi.degree, self.psi.degree)
-
-    @property
-    def phase_hint(self):
-        return max(self.phi.phase, self.psi.phase)
-
-    @property
-    def breakpoints(self):
-        return np.union1d(self.phi.breakpoints, self.psi.breakpoints)
-
-    @property
-    def id(self):
-        return f"rank_one({self.phi.id};{self.psi.id})"
 
 
 def evaluate_kernel(spec: Kernel, t, tau):
@@ -334,13 +288,9 @@ def _inner_strip(spec: Kernel, theta: np.ndarray, vt_lo: float, vt_hi: float, n:
     dtype = complex if spec.is_complex else float
     out = np.zeros(len(theta), dtype=dtype)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if spec.has_step:
-            split = np.clip(theta, lo, hi)
-            for seg_lo, seg_hi in ((lo, split), (split, hi)):
-                y, v = scaled_segments(seg_lo, seg_hi, n)
-                out = out + np.sum(v * spec.evaluate(theta[:, None], y), axis=1)
-        else:
-            y, v = scaled_segments(lo, hi, n)
+        split = np.clip(theta, lo, hi)
+        for seg_lo, seg_hi in ((lo, split), (split, hi)) if spec.has_step else ((lo, hi),):
+            y, v = scaled_segments(seg_lo, seg_hi, n)
             out = out + np.sum(v * spec.evaluate(theta[:, None], y), axis=1)
     return out
 
@@ -350,6 +300,15 @@ def default_eps_schedule(interval: Interval, k_min: int = 3, k_max: int = 12):
     if k_min > k_max:
         raise ValueError("need k_min <= k_max")
     return [interval.length * 2.0 ** (-k) for k in range(k_min, k_max + 1)]
+
+
+def _diagonal_integral(spec: Kernel, quad: QuadratureConfig):
+    """int f(t, t) dt, the limit every trace route of a kernel aims at."""
+    iv = spec.interval
+    rule = composite_rule(iv.t0, iv.T, quad, breakpoints=spec.breakpoints,
+                          degree=2 * spec.degree_hint, phase=2 * spec.phase_hint)
+    value = rule.integrate(spec.evaluate(rule.x, rule.x))
+    return complex(value) if spec.is_complex else float(value)
 
 
 def diagonal_trace(
@@ -373,15 +332,7 @@ def diagonal_trace(
     if any(b >= a for a, b in zip(eps_schedule[:-1], eps_schedule[1:])):
         raise ValueError("eps schedule must be strictly decreasing")
 
-    diag_rule = composite_rule(
-        iv.t0, iv.T, quad,
-        breakpoints=spec.breakpoints,
-        degree=2 * spec.degree_hint,
-        phase=2 * spec.phase_hint,
-    )
-    target = diag_rule.integrate(spec.evaluate(diag_rule.x, diag_rule.x))
-    target = complex(target) if spec.is_complex else float(target)
-
+    target = _diagonal_integral(spec, quad)
     sums = []
     for eps in eps_schedule:
         breaks = np.concatenate([[iv.t0 + eps, iv.T - eps], spec.breakpoints])
@@ -400,19 +351,9 @@ def diagonal_trace(
         extrapolated = (e1 * sums[-1] - e2 * sums[-2]) / (e1 - e2)
     else:
         extrapolated = sums[-1]
-    errors = [abs(s - target) for s in sums]
-    converged = bool(abs(extrapolated - target) <= tol)
-    return TraceReport(
-        experiment="kernel-trace",
-        basis_id=None,
-        weight_ids=(spec.id,),
-        index_label="epsilon",
-        index_values=list(eps_schedule),
-        partial_sums=sums,
-        target=target,
-        abs_errors=errors,
-        tolerance=tol,
-        converged=converged,
+    return TraceReport.ladder(
+        "kernel-trace", None, (spec.id,), sums, target, tol,
+        index_values=eps_schedule, index_label="epsilon", limit=extrapolated,
         metadata={"extrapolated": extrapolated},
     )
 

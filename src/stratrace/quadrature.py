@@ -5,6 +5,12 @@ breakpoints the integrand demands (dyadic Haar edges, tabulated-weight grids).
 The per-panel node count starts at the configured default and is raised until
 the rule is exact for the declared polynomial degree and resolves the declared
 oscillation; refusal to meet a demand raises instead of silently degrading.
+
+Running integrals t -> int_{t0}^{t} weight * factor, which every coefficient
+engine and the reduced tensor limits need, are built in one place,
+`_running_integral`: per-panel prefix sums of a composite rule plus a Gauss
+rule on the partial panel.  It stays private so that its time counts toward
+the engine function that asked for it.
 """
 
 from __future__ import annotations
@@ -19,14 +25,16 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureError",
     "CompositeRule",
-    "NestedRule",
     "gauss_rule",
     "nodes_for",
     "panel_edges",
     "composite_rule",
-    "nested_rule",
     "scaled_segments",
 ]
+
+
+# cap on the number of points evaluated in one basis-block call
+_CHUNK_POINTS = 32768
 
 
 class QuadratureError(RuntimeError):
@@ -114,21 +122,16 @@ def panel_edges(t0: float, t1: float, panels: int, breakpoints=()) -> np.ndarray
 @dataclass(frozen=True)
 class CompositeRule:
     """Flattened composite Gauss rule: nodes `x`, weights `w`, panel `edges`,
-    a common per-panel node count, and `panel_index` mapping node -> panel."""
+    and a common per-panel node count (nodes are stored panel by panel)."""
 
     x: np.ndarray
     w: np.ndarray
     edges: np.ndarray
     nodes_per_panel: int
-    panel_index: np.ndarray
 
     @property
     def panels(self) -> int:
         return len(self.edges) - 1
-
-    @property
-    def panel_starts(self) -> np.ndarray:
-        return self.edges[self.panel_index]
 
     def integrate(self, values: np.ndarray):
         return np.tensordot(values, self.w, axes=([0], [0])) if values.ndim > 1 else values @ self.w
@@ -167,34 +170,7 @@ def composite_rule(
     half = 0.5 * widths
     x = (mid[:, None] + half[:, None] * ref_x[None, :]).ravel()
     w = (half[:, None] * ref_w[None, :]).ravel()
-    panel_index = np.repeat(np.arange(len(widths)), n)
-    return CompositeRule(x=x, w=w, edges=edges, nodes_per_panel=n, panel_index=panel_index)
-
-
-@dataclass(frozen=True)
-class NestedRule:
-    """Inner Gauss rules for the running segments [panel_start(g), x_g].
-
-    `y[g, m]` / `v[g, m]` integrate over the partial panel left of outer node
-    g; combined with per-panel prefix sums they evaluate running primitives
-    t -> int_{t0}^t exactly at every outer node.
-    """
-
-    outer: CompositeRule
-    y: np.ndarray
-    v: np.ndarray
-
-
-def nested_rule(outer: CompositeRule, inner_nodes: int) -> NestedRule:
-    ref_x, ref_w = gauss_rule(inner_nodes)
-    # reference rule on [0, 1]
-    r = 0.5 * (ref_x + 1.0)
-    u = 0.5 * ref_w
-    a = outer.panel_starts
-    span = outer.x - a
-    y = a[:, None] + span[:, None] * r[None, :]
-    v = span[:, None] * u[None, :]
-    return NestedRule(outer=outer, y=y, v=v)
+    return CompositeRule(x=x, w=w, edges=edges, nodes_per_panel=n)
 
 
 def scaled_segments(lo, hi, inner_nodes: int):
@@ -213,3 +189,52 @@ def scaled_segments(lo, hi, inner_nodes: int):
     y = lo[..., None] + span[..., None] * r
     v = span[..., None] * u
     return y, v
+
+
+def _segment_nodes(quad: QuadratureConfig, rule: CompositeRule, degree: int, phase: float) -> int:
+    """Node count for segments inside one panel of `rule`; `phase` is the
+    sweep over the whole interval and is scaled to the widest panel."""
+    iv_len = rule.edges[-1] - rule.edges[0]
+    frac = np.diff(rule.edges).max() / iv_len
+    return nodes_for(quad, degree, phase * frac if phase > 0.0 else 0.0)
+
+
+def _running_integral(rule: CompositeRule, quad: QuadratureConfig, weight, degree: int,
+                      phase: float, factor=None):
+    """The running integral p -> int_{t0}^{p} weight(s) factor(s) ds.
+
+    Returns a function of points inside the rule's interval (any shape); its
+    values have the points' shape followed by the factor's trailing axes.
+    `weight` maps points to scalars; `factor`, if given, maps points of shape S
+    to values of shape S + F, and without it the integrand is `weight` alone.
+    Whole panels left of p come from prefix sums over `rule` (exact wherever
+    the rule is); the partial panel [panel start, p] gets a Gauss rule sized
+    for the integrand's `degree` and `phase` (as for `composite_rule`).
+    """
+    nodes = _segment_nodes(quad, rule, degree, phase)
+    at_nodes = weight(rule.x)
+    if factor is not None:
+        f = factor(rule.x)
+        at_nodes = at_nodes.reshape((-1,) + (1,) * (f.ndim - 1)) * f
+    per_panel = rule.panel_sums(at_nodes)
+    prefix = np.concatenate([np.zeros_like(per_panel[:1]), np.cumsum(per_panel, axis=0)[:-1]])
+    # a chunk holds _CHUNK_POINTS segment nodes times the factor's first axis
+    # (one basis block); further factor axes shrink the chunk to match
+    per_node = int(np.prod(prefix.shape[2:]))
+    rows = max(1, _CHUNK_POINTS // (nodes * per_node))
+
+    def integral(points):
+        p = np.ravel(points)
+        panel = np.clip(np.searchsorted(rule.edges, p, side="right") - 1, 0, rule.panels - 1)
+        out = np.empty(p.shape + prefix.shape[1:])
+        for lo in range(0, p.size, rows):
+            part = slice(lo, lo + rows)
+            y, v = scaled_segments(rule.edges[panel[part]], p[part], nodes)
+            if factor is None:
+                inside = np.einsum("gm,gm->g", v, weight(y))
+            else:
+                inside = np.einsum("gm,gm,gm...->g...", v, weight(y), factor(y))
+            out[part] = prefix[panel[part]] + inside
+        return out.reshape(np.shape(points) + prefix.shape[1:])
+
+    return integral

@@ -57,6 +57,47 @@ class TraceReport:
     converged: bool
     metadata: dict = field(default_factory=dict)
 
+    @classmethod
+    def ladder(
+        cls,
+        experiment: str,
+        basis_id: str | None,
+        weight_ids: tuple,
+        partial_sums,
+        target,
+        tol: float,
+        index_values=None,
+        index_label: str = "N",
+        limit=None,
+        metadata: dict | None = None,
+    ) -> TraceReport:
+        """Report for a ladder of partial sums approaching `target`.
+
+        The ladder runs over N = 1, 2, ... unless `index_values` says
+        otherwise; errors are |partial sum - target|.  Converged means
+        |limit - target| <= tol, where the limit is the last partial sum
+        unless an extrapolated `limit` is given.
+        """
+        sums = np.asarray(partial_sums)
+        cast = complex if np.iscomplexobj(sums) else float
+        errors = np.abs(sums - target)
+        final = errors[-1] if limit is None else abs(limit - target)
+        if index_values is None:
+            index_values = range(1, len(sums) + 1)
+        return cls(
+            experiment=experiment,
+            basis_id=basis_id,
+            weight_ids=weight_ids,
+            index_label=index_label,
+            index_values=list(index_values),
+            partial_sums=[cast(s) for s in sums],
+            target=target,
+            abs_errors=[float(e) for e in errors],
+            tolerance=tol,
+            converged=bool(final <= tol),
+            metadata={} if metadata is None else metadata,
+        )
+
     @property
     def final_error(self) -> float:
         return float(self.abs_errors[-1]) if self.abs_errors else float("nan")

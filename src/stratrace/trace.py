@@ -13,6 +13,8 @@ traces) into report-producing verifiers with explicit targets and ladders.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .basis import OrthonormalBasis
@@ -20,7 +22,6 @@ from .coeffs import (
     CoefficientTensor,
     kernel_diagonal,
     volterra_diagonal,
-    weight_basis_inner,
 )
 from .kernel import (
     ComplexExponential,
@@ -29,9 +30,10 @@ from .kernel import (
     MonomialMin,
     SeparableRankOne,
     SymmetrizedVolterra,
+    _diagonal_integral,
     diagonal_trace,
 )
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, composite_rule, nested_rule, nodes_for
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, _running_integral, composite_rule
 from .reports import TraceReport
 from .weights import PolynomialWeight, WeightFunction
 
@@ -77,20 +79,7 @@ def verify_volterra_trace(
     diag = volterra_diagonal(phi, psi, basis, count, quad)
     sums = np.cumsum(diag)
     target = 0.5 * inner_product(phi, psi, quad)
-    errors = np.abs(sums - target)
-    return TraceReport(
-        experiment="volterra-trace",
-        basis_id=basis.id,
-        weight_ids=(phi.id, psi.id),
-        index_label="N",
-        index_values=list(range(1, count + 1)),
-        partial_sums=[float(s) for s in sums],
-        target=target,
-        abs_errors=[float(e) for e in errors],
-        tolerance=tol,
-        converged=bool(errors[-1] <= tol),
-        metadata={},
-    )
+    return TraceReport.ladder("volterra-trace", basis.id, (phi.id, psi.id), sums, target, tol)
 
 
 _CERTIFIED_KINDS = (
@@ -123,30 +112,8 @@ def verify_kernel_trace(
         )
     diag = kernel_diagonal(spec, basis, count, quad)
     sums = np.cumsum(diag)
-    iv = spec.interval
-    rule = composite_rule(
-        iv.t0, iv.T, quad,
-        breakpoints=spec.breakpoints,
-        degree=2 * spec.degree_hint,
-        phase=2 * spec.phase_hint,
-    )
-    target = rule.integrate(spec.evaluate(rule.x, rule.x))
-    target = complex(target) if spec.is_complex else float(target)
-    errors = np.abs(sums - target)
-    caster = complex if spec.is_complex else float
-    return TraceReport(
-        experiment="kernel-trace",
-        basis_id=basis.id,
-        weight_ids=(spec.id,),
-        index_label="N",
-        index_values=list(range(1, count + 1)),
-        partial_sums=[caster(s) for s in sums],
-        target=target,
-        abs_errors=[float(e) for e in errors],
-        tolerance=tol,
-        converged=bool(errors[-1] <= tol),
-        metadata={},
-    )
+    target = _diagonal_integral(spec, quad)
+    return TraceReport.ladder("kernel-trace", basis.id, (spec.id,), sums, target, tol)
 
 
 def two_route_kernel_trace(
@@ -173,21 +140,10 @@ def two_route_kernel_trace(
     averaged = diagonal_trace(spec, eps_schedule, quad, tol)
     extrapolated = averaged.metadata["extrapolated"]
     gap = abs(expansion.partial_sums[-1] - extrapolated)
-    ok = bool(
-        expansion.abs_errors[-1] <= tol
-        and abs(extrapolated - averaged.target) <= tol
-    )
-    return TraceReport(
+    return replace(
+        expansion,
         experiment="two-route-kernel-trace",
-        basis_id=basis.id,
-        weight_ids=(spec.id,),
-        index_label="N",
-        index_values=expansion.index_values,
-        partial_sums=expansion.partial_sums,
-        target=expansion.target,
-        abs_errors=expansion.abs_errors,
-        tolerance=tol,
-        converged=ok,
+        converged=expansion.converged and averaged.converged,
         metadata={
             "averaged_eps": averaged.index_values,
             "averaged_sums": averaged.partial_sums,
@@ -228,20 +184,7 @@ def verify_symmetric_pair_sum(
     d2 = volterra_diagonal(psi, phi, basis, count, quad)
     sums = np.cumsum(d1 + d2)
     target = inner_product(phi, psi, quad)
-    errors = np.abs(sums - target)
-    return TraceReport(
-        experiment="symmetric-pair-sum",
-        basis_id=basis.id,
-        weight_ids=(phi.id, psi.id),
-        index_label="N",
-        index_values=list(range(1, count + 1)),
-        partial_sums=[float(s) for s in sums],
-        target=target,
-        abs_errors=[float(e) for e in errors],
-        tolerance=tol,
-        converged=bool(errors[-1] <= tol),
-        metadata={},
-    )
+    return TraceReport.ladder("symmetric-pair-sum", basis.id, (phi.id, psi.id), sums, target, tol)
 
 
 def basis_independence(
@@ -298,17 +241,14 @@ def _reduced_limit_vector(w_pair, w_outer, basis, n_reduced, quad, from_left: bo
         degree=w_a.degree + w_b.degree + 1 + w_outer.degree + basis.degree_hint(n_reduced),
         phase=w_a.phase + w_b.phase + w_outer.phase + basis.phase_hint(n_reduced),
     )
-    m = nodes_for(quad, w_a.degree + w_b.degree,
-                  (w_a.phase + w_b.phase) * float(np.diff(rule.edges).max()) / iv.length)
-    nested = nested_rule(rule, m)
-    product = w_a(rule.x) * w_b(rule.x)
-    per_panel = rule.panel_sums(product)
-    prefix = np.concatenate([[0.0], np.cumsum(per_panel)[:-1]])
-    running = prefix[rule.panel_index] + np.einsum(
-        "gm,gm->g", nested.v, w_a(nested.y) * w_b(nested.y)
-    )
+
+    def product(y):
+        return w_a(y) * w_b(y)
+
+    running = _running_integral(rule, quad, product, w_a.degree + w_b.degree,
+                                w_a.phase + w_b.phase)(rule.x)
     if not from_left:
-        running = float(rule.integrate(product)) - running
+        running = float(rule.integrate(product(rule.x))) - running
     reduced_vals = 0.5 * w_outer(rule.x) * running
     q = basis.evaluate_block(rule.x, n_reduced)
     return (rule.w * reduced_vals) @ q
@@ -350,17 +290,8 @@ def tensor_neighbor_trace(
 
     deviations = np.abs(traced[:, :n_reduced] - limits[None, :])
     worst = deviations.max(axis=1)
-    return TraceReport(
-        experiment="tensor-neighbor-trace",
-        basis_id=basis.id,
-        weight_ids=(w1.id, w2.id, w3.id),
-        index_label="N",
-        index_values=list(range(1, count + 1)),
-        partial_sums=[float(x) for x in worst],
-        target=0.0,
-        abs_errors=[float(x) for x in worst],
-        tolerance=tol,
-        converged=bool(worst[-1] <= tol),
+    return TraceReport.ladder(
+        "tensor-neighbor-trace", basis.id, (w1.id, w2.id, w3.id), worst, 0.0, tol,
         metadata={
             "pair": list(pair),
             "n_reduced": n_reduced,
@@ -391,17 +322,9 @@ def tensor_nonneighbor_trace(
         raise ValueError(f"ladder {Ns} outside 1..{count}")
 
     partial = np.einsum("iji->ij", tensor.entries).cumsum(axis=0)
-    worst = [float(np.max(np.abs(partial[n - 1]))) for n in Ns]
-    return TraceReport(
-        experiment="tensor-nonneighbor-trace",
-        basis_id=tensor.basis_id,
-        weight_ids=tensor.weight_ids,
-        index_label="N",
+    worst = [np.max(np.abs(partial[n - 1])) for n in Ns]
+    return TraceReport.ladder(
+        "tensor-nonneighbor-trace", tensor.basis_id, tensor.weight_ids, worst, 0.0, tol,
         index_values=Ns,
-        partial_sums=worst,
-        target=0.0,
-        abs_errors=list(worst),
-        tolerance=tol,
-        converged=bool(worst[-1] <= tol),
         metadata={"final_vector": [float(x) for x in partial[Ns[-1] - 1]]},
     )

@@ -232,6 +232,27 @@ def test_unknown_config_field_exits_one(tmp_path, monkeypatch, capsys):
     assert "unknown fields" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("paths", 1e4), ("nmax", "16"), ("nmax", True), ("tol", "small"), ("distinct", 1), ("phi", 1),
+])
+def test_config_file_values_must_have_the_field_type(tmp_path, monkeypatch, capsys, field, value):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    values = {"phi": "poly:1", "psi": "poly:0,1", "basis": "legendre", "nmax": 16, "paths": 100}
+    cfg.write_text(json.dumps({**values, field: value}))
+    code = main(["simulate", "--config", str(cfg)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"stratrace: error: {field}: ")
+
+
+def test_node_cap_overrun_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(["theorem2", "--phi", "poly:1", "--psi", "poly:1",
+                 "--basis", "legendre", "--nmax", "4096"])
+    assert code == 1
+    assert "demand of 4097 nodes per panel exceeds cap 4096" in capsys.readouterr().err
+
+
 def test_tabulated_weight_through_the_cli(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     table = tmp_path / "flat.csv"

@@ -37,6 +37,7 @@ from stratrace import (
     volterra_norm_sq,
     weight_basis_inner,
 )
+from stratrace import coeffs as coeffs_module
 from stratrace.coeffs import cache_path
 
 from conftest import UNIT, make_basis, poly
@@ -383,6 +384,28 @@ def test_cache_dir_environment_variable(tmp_path, monkeypatch):
     cached_coefficient_matrix(ONE, ONE, leg, 4)
     key = matrix_key(ONE, ONE, leg, 4)
     assert cache_path(tmp_path, key).exists()
+
+
+def test_store_leaves_a_foreign_temp_file_alone(tmp_path):
+    leg = make_basis("legendre", 4)
+    matrix = coefficient_matrix(ONE, TEE, leg, 4)
+    key = matrix_key(ONE, TEE, leg, 4)
+    # another writer's partial file under the name a shared temp file would take
+    foreign = tmp_path / f"{key}.tmp"
+    foreign.write_bytes(b"partial bytes of another writer")
+    path = cache_path(tmp_path, key)
+    cache_store(matrix.entries, path, key)
+    assert foreign.read_bytes() == b"partial bytes of another writer"
+    assert cache_load(path, key, (4, 4)).tobytes() == matrix.entries.tobytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([foreign.name, path.name])
+
+
+def test_keys_change_with_the_engine_version(monkeypatch):
+    leg = make_basis("legendre", 8)
+    before = matrix_key(ONE, TEE, leg, 8), tensor_key(ONE, ONE, ONE, leg, 8)
+    monkeypatch.setattr(coeffs_module, "_ENGINE_VERSION", coeffs_module._ENGINE_VERSION + 1)
+    after = matrix_key(ONE, TEE, leg, 8), tensor_key(ONE, ONE, ONE, leg, 8)
+    assert before[0] != after[0] and before[1] != after[1]
 
 
 def test_keys_depend_on_every_ingredient():

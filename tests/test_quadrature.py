@@ -1,12 +1,14 @@
-"""Composite Gauss rules: exactness degrees, breakpoints, nested partials."""
+"""Composite Gauss rules: exactness degrees, breakpoints, running integrals."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratrace import QuadratureConfig, QuadratureError, composite_rule, gauss_rule
-from stratrace.quadrature import DEFAULT_QUADRATURE, nested_rule, nodes_for, scaled_segments
+from stratrace import QuadratureConfig, QuadratureError, composite_rule, gauss_rule, volterra_diagonal
+from stratrace.quadrature import DEFAULT_QUADRATURE, _running_integral, nodes_for, scaled_segments
+
+from conftest import make_basis, poly
 
 
 def test_gauss_rule_exact_for_monomials_up_to_2n_minus_1():
@@ -59,14 +61,24 @@ def test_panel_sums_add_up_to_integral():
     assert abs(rule.panel_sums(vals).sum() - rule.integrate(vals)) < 1e-15
 
 
-def test_nested_rule_running_primitive_is_exact_for_cubics():
+def test_running_integral_is_exact_for_cubics():
     rule = composite_rule(0.0, 1.0, DEFAULT_QUADRATURE, degree=3)
-    nested = nested_rule(rule, 4)
-    # running integral of t^2 from each panel start to each outer node
-    per_panel = rule.panel_sums(rule.x**2)
-    prefix = np.concatenate([[0.0], np.cumsum(per_panel)[:-1]])
-    running = prefix[rule.panel_index] + np.einsum("gm,gm->g", nested.v, nested.y**2)
+    # running integral of t^2 from the left end to each outer node
+    running = _running_integral(rule, DEFAULT_QUADRATURE, lambda y: y**2, 2, 0.0)(rule.x)
     assert np.max(np.abs(running - rule.x**3 / 3.0)) < 1e-14
+
+
+def test_running_integral_at_points_with_a_vector_factor():
+    rule = composite_rule(0.0, 1.0, DEFAULT_QUADRATURE, breakpoints=[0.3], degree=4)
+    # both ends, a breakpoint, a uniform panel edge and interior points, in a 2-D batch
+    points = np.array([[0.0, 0.3, 0.5, 1.0], [0.01, 0.299, 0.77, 0.999]])
+    def factor(y):
+        return np.stack([np.ones_like(y), y**2], axis=-1)
+
+    running = _running_integral(rule, DEFAULT_QUADRATURE, lambda y: y, 3, 0.0, factor)(points)
+    assert running.shape == (2, 4, 2)
+    exact = np.stack([points**2 / 2.0, points**4 / 4.0], axis=-1)
+    assert np.max(np.abs(running - exact)) < 1e-15
 
 
 def test_scaled_segments_variable_upper_bounds():
@@ -87,6 +99,14 @@ def test_nodes_for_raises_beyond_cap():
     cfg = QuadratureConfig(max_nodes_per_panel=16)
     with pytest.raises(QuadratureError):
         nodes_for(cfg, 10_000)
+
+
+def test_legendre_node_cap_is_reached_at_4096_terms():
+    # N terms need 2N + 2 degrees of exactness: N = 4096 asks for 4097 nodes a
+    # panel, one past the default cap; the rule is refused before any evaluation
+    one = poly(1.0)
+    with pytest.raises(QuadratureError, match="demand of 4097 nodes per panel exceeds cap 4096"):
+        volterra_diagonal(one, one, make_basis("legendre", 4096), 4096)
 
 
 def test_fingerprint_tracks_every_precision_field():
