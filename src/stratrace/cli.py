@@ -138,7 +138,7 @@ def parse_kernel(text: str, interval: Interval, phi=None, psi=None):
 
 
 # smallest allowed value of each bounded integer field
-_MINIMA = {"nmax": 1, "n_reduced": 1, "paths": 2, "workers": 1, "oracle_draws": 0,
+_MINIMA = {"nmax": 1, "n_reduced": 1, "paths": 2, "seed": 0, "workers": 1, "oracle_draws": 0,
            "oracle_mesh": 1, "mesh": 1, "panels": 1, "nodes": 1}
 # allowed values of each enumerated field, also offered as the flags' choices
 _CHOICES = {"pair": ("12", "23", "13"), "scheme": ("expansion", "brownian")}

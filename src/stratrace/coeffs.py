@@ -7,9 +7,10 @@ The central objects are the matrices
 for a weight pair (phi, psi), their order-3 analogue for weight triples, and
 the same expansion for general two-variable kernels.  Every running primitive
 (and the mid-level running integral of the order-3 tensors) comes from
-`quadrature._running_integral`: per-panel prefix sums plus a Gauss rule on the
-partial panel, so every entry is exact (up to roundoff) whenever the weights
-and basis make the integrands piecewise polynomial or resolved oscillations.
+`quadrature._running_integral` at the outer rule's own nodes: per-panel prefix
+sums plus a spectral integration matrix on each panel, so every entry is exact
+(up to roundoff) whenever the weights and basis make the integrands piecewise
+polynomial or resolved oscillations.
 The general-kernel route (`_kernel_tables`) keeps its own two-dimensional
 quadrature on purpose, as an independent check on that machinery.
 
@@ -30,16 +31,17 @@ import numpy as np
 from .basis import Interval, OrthonormalBasis
 from .kernel import Kernel
 from .quadrature import (
-    _CHUNK_POINTS,
     DEFAULT_QUADRATURE,
-    CompositeRule,
     QuadratureConfig,
     _running_integral,
-    _segment_nodes,
     composite_rule,
+    nodes_for,
     scaled_segments,
 )
 from .weights import WeightFunction
+
+# cap on the number of points evaluated in one basis-block call
+_CHUNK_POINTS = 32768
 
 __all__ = [
     "CoefficientMatrix",
@@ -132,23 +134,6 @@ def _union_breakpoints(basis: OrthonormalBasis, count: int, *weights):
     return np.unique(np.concatenate(pieces)) if pieces else np.empty(0)
 
 
-def _basis_values(basis: OrthonormalBasis, count: int):
-    """Points of any shape -> q_j at those points, basis index last."""
-    return lambda y: basis.evaluate_block(np.ravel(y), count).reshape(np.shape(y) + (count,))
-
-
-def _running_primitive(
-    weight: WeightFunction,
-    basis: OrthonormalBasis,
-    count: int,
-    quad: QuadratureConfig,
-    rule: CompositeRule,
-):
-    """Psi(p)[..., j] = int_{t0}^{p} weight(s) q_j(s) ds, as a function of points."""
-    return _running_integral(rule, quad, weight, weight.degree + basis.degree_hint(count),
-                             weight.phase + basis.phase_hint(count), _basis_values(basis, count))
-
-
 def _volterra_tables(phi, psi, basis, count, quad):
     """Tables on one outer rule whose contraction over nodes gives G:
     left[g, i] = w_g phi(x_g) q_i(x_g) and the running primitive Psi[g, j]."""
@@ -161,7 +146,7 @@ def _volterra_tables(phi, psi, basis, count, quad):
         phase=phi.phase + psi.phase + 2 * basis.phase_hint(count),
     )
     q_out = basis.evaluate_block(rule.x, count)
-    psi_run = _running_primitive(psi, basis, count, quad, rule)(rule.x)
+    psi_run = _running_integral(rule, psi(rule.x)[:, None] * q_out)
     left = (rule.w * phi(rule.x))[:, None] * q_out
     return left, psi_run
 
@@ -227,8 +212,7 @@ def volterra_norm_sq(
     rule = composite_rule(iv.t0, iv.T, quad, breakpoints=breaks,
                           degree=2 * (phi.degree + psi.degree) + 1,
                           phase=2 * (phi.phase + psi.phase))
-    running = _running_integral(rule, quad, lambda y: psi(y) ** 2,
-                                2 * psi.degree, 2 * psi.phase)(rule.x)
+    running = _running_integral(rule, psi(rule.x) ** 2)
     return float(rule.integrate(phi(rule.x) ** 2 * running))
 
 
@@ -275,7 +259,9 @@ def _kernel_tables(spec: Kernel, basis: OrthonormalBasis, count: int, quad: Quad
     rule = composite_rule(iv.t0, iv.T, quad, breakpoints=breaks,
                           degree=2 * degree + 1, phase=2 * phase)
     ladder = np.concatenate([[iv.t0], breaks[(breaks > iv.t0) & (breaks < iv.T)], [iv.T]])
-    n_in = _segment_nodes(quad, rule, degree, phase)
+    # segments lie inside one panel: scale the sweep to the widest panel
+    frac = np.diff(rule.edges).max() / (iv.T - iv.t0)
+    n_in = nodes_for(quad, degree, phase * frac if phase > 0.0 else 0.0)
 
     dtype = complex if spec.is_complex else float
     inner = np.zeros((len(rule.x), count), dtype=dtype)
@@ -353,9 +339,9 @@ def tensor_coefficients(
     """Entries[i1, i2, i3] = int w3 q_{i3}(t) (int^t w2 q_{i2}(s) (int^s w1 q_{i1}(r) dr) ds) dt,
     the iterated integral over t > s > r with w1 innermost and w3 outermost.
 
-    Three nesting levels: the innermost primitive is evaluated at the outer
-    nodes and at the mid level's partial-panel nodes, the mid-level running
-    integral at the outer nodes, and the outer rule finishes the job.
+    Three nesting levels on one outer rule: the innermost primitive
+    Psi1 = R(w1 q) and the mid-level running integral R(w2 q (x) Psi1) are both
+    taken at the outer nodes, and the outer rule finishes the job.
     """
     _check_inputs(basis, count, w1, w2, w3)
     iv = basis.interval
@@ -366,16 +352,11 @@ def tensor_coefficients(
         degree=w1.degree + w2.degree + w3.degree + 3 * (bdeg + 1),
         phase=w1.phase + w2.phase + w3.phase + 3 * bph,
     )
-    q = _basis_values(basis, count)
-    # innermost primitive Psi1 as a function of points: needed at the outer
-    # nodes and at the partial-panel nodes of the mid level
-    psi1 = _running_primitive(w1, basis, count, quad, rule)
+    q_out = basis.evaluate_block(rule.x, count)
+    # psi1[g, i1]: the innermost primitive at each outer node
+    psi1 = _running_integral(rule, w1(rule.x)[:, None] * q_out)
     # lam[g, i2, i1]: the mid-level running integral at each outer node
-    lam = _running_integral(
-        rule, quad, w2, w1.degree + w2.degree + 2 * bdeg + 1, w1.phase + w2.phase + 2 * bph,
-        lambda y: q(y)[..., :, None] * psi1(y)[..., None, :],
-    )(rule.x)
-    q_out = q(rule.x)
+    lam = _running_integral(rule, (w2(rule.x)[:, None] * q_out)[:, :, None] * psi1[:, None, :])
     entries = np.einsum("g,go,gjk->kjo", rule.w * w3(rule.x), q_out, lam)
     return _result(CoefficientTensor, entries, basis, (w1.id, w2.id, w3.id), quad)
 
@@ -396,7 +377,7 @@ _MAGIC = b"STRC"
 _VERSION = 1
 # enters every cache key; bump it whenever an engine change may move the
 # numbers, so files written by an older engine are recomputed, not served
-_ENGINE_VERSION = 1
+_ENGINE_VERSION = 2
 
 
 def _digest(parts: dict) -> str:

@@ -6,11 +6,12 @@ The per-panel node count starts at the configured default and is raised until
 the rule is exact for the declared polynomial degree and resolves the declared
 oscillation; refusal to meet a demand raises instead of silently degrading.
 
-Running integrals t -> int_{t0}^{t} weight * factor, which every coefficient
-engine and the reduced tensor limits need, are built in one place,
-`_running_integral`: per-panel prefix sums of a composite rule plus a Gauss
-rule on the partial panel.  It stays private so that its time counts toward
-the engine function that asked for it.
+Running integrals x_g -> int_{t0}^{x_g} f at a composite rule's own nodes,
+which every coefficient engine and the reduced tensor limits need, are built
+in one place, `_running_integral`: per-panel prefix sums of the rule plus one
+cached n x n spectral integration matrix applied to each panel's node values.
+It stays private so that its time counts toward the engine function that
+asked for it.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ __all__ = [
     "composite_rule",
     "scaled_segments",
 ]
-
-
-# cap on the number of points evaluated in one basis-block call
-_CHUNK_POINTS = 32768
 
 
 class QuadratureError(RuntimeError):
@@ -191,50 +188,39 @@ def scaled_segments(lo, hi, inner_nodes: int):
     return y, v
 
 
-def _segment_nodes(quad: QuadratureConfig, rule: CompositeRule, degree: int, phase: float) -> int:
-    """Node count for segments inside one panel of `rule`; `phase` is the
-    sweep over the whole interval and is scaled to the widest panel."""
-    iv_len = rule.edges[-1] - rule.edges[0]
-    frac = np.diff(rule.edges).max() / iv_len
-    return nodes_for(quad, degree, phase * frac if phase > 0.0 else 0.0)
+@lru_cache(maxsize=16)
+def _integration_matrix(n: int) -> np.ndarray:
+    """S with (S @ f)[a] = int_{-1}^{x_a} f over the n Gauss nodes x_a of
+    [-1, 1], exact when f is a polynomial of degree <= n - 1 (the spectral
+    integration matrix, Greengard 1991).
 
-
-def _running_integral(rule: CompositeRule, quad: QuadratureConfig, weight, degree: int,
-                      phase: float, factor=None):
-    """The running integral p -> int_{t0}^{p} weight(s) factor(s) ds.
-
-    Returns a function of points inside the rule's interval (any shape); its
-    values have the points' shape followed by the factor's trailing axes.
-    `weight` maps points to scalars; `factor`, if given, maps points of shape S
-    to values of shape S + F, and without it the integrand is `weight` alone.
-    Whole panels left of p come from prefix sums over `rule` (exact wherever
-    the rule is); the partial panel [panel start, p] gets a Gauss rule sized
-    for the integrand's `degree` and `phase` (as for `composite_rule`).
+    f is interpolated in Legendre polynomials, whose coefficients the Gauss
+    rule gives exactly: c_k = (2k+1)/2 sum_b w_b P_k(x_b) f_b; then
+    int_{-1}^{x} P_k = (P_{k+1} - P_{k-1}) / (2k+1), with P_{-1} = -1 for k = 0.
     """
-    nodes = _segment_nodes(quad, rule, degree, phase)
-    at_nodes = weight(rule.x)
-    if factor is not None:
-        f = factor(rule.x)
-        at_nodes = at_nodes.reshape((-1,) + (1,) * (f.ndim - 1)) * f
-    per_panel = rule.panel_sums(at_nodes)
+    x, w = gauss_rule(n)
+    p = np.polynomial.legendre.legvander(x, n)
+    below = np.concatenate([-np.ones((n, 1)), p[:, :n - 1]], axis=1)
+    s = 0.5 * (p[:, 1:] - below) @ (w[:, None] * p[:, :n]).T
+    s.setflags(write=False)
+    return s
+
+
+def _running_integral(rule: CompositeRule, values: np.ndarray) -> np.ndarray:
+    """int_{t0}^{x_g} f at every node x_g of `rule`, from f at those nodes.
+
+    `values` has the node axis first and any trailing axes; the result has the
+    same shape.  Whole panels left of x_g come from prefix sums over `rule`;
+    the partial panel is (h_p / 2) S @ f_p with the integration matrix S.  A
+    contraction sum_g w_g h(x_g) (S f)(x_g) is exact whenever the rule is
+    exact for h * int f and h or f has degree <= nodes_per_panel - 1, so the
+    callers' product demands on `rule` suffice.
+    """
+    n = rule.nodes_per_panel
+    per_panel = rule.panel_sums(values)
     prefix = np.concatenate([np.zeros_like(per_panel[:1]), np.cumsum(per_panel, axis=0)[:-1]])
-    # a chunk holds _CHUNK_POINTS segment nodes times the factor's first axis
-    # (one basis block); further factor axes shrink the chunk to match
-    per_node = int(np.prod(prefix.shape[2:]))
-    rows = max(1, _CHUNK_POINTS // (nodes * per_node))
-
-    def integral(points):
-        p = np.ravel(points)
-        panel = np.clip(np.searchsorted(rule.edges, p, side="right") - 1, 0, rule.panels - 1)
-        out = np.empty(p.shape + prefix.shape[1:])
-        for lo in range(0, p.size, rows):
-            part = slice(lo, lo + rows)
-            y, v = scaled_segments(rule.edges[panel[part]], p[part], nodes)
-            if factor is None:
-                inside = np.einsum("gm,gm->g", v, weight(y))
-            else:
-                inside = np.einsum("gm,gm,gm...->g...", v, weight(y), factor(y))
-            out[part] = prefix[panel[part]] + inside
-        return out.reshape(np.shape(points) + prefix.shape[1:])
-
-    return integral
+    inside = _integration_matrix(n) @ values.reshape(rule.panels, n, -1)
+    # built in place: the tensor's mid level alone holds G * count^2 values
+    inside *= 0.5 * np.diff(rule.edges)[:, None, None]
+    inside += prefix.reshape(rule.panels, 1, -1)
+    return inside.reshape(values.shape)

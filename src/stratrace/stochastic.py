@@ -49,6 +49,9 @@ __all__ = [
 # paths per scheduling block; fixed so the sample order never depends on the
 # worker count
 BLOCK_PATHS = 4096
+# normals held at once by `brownian_midpoint_oracle`: 256 paths at the
+# default mesh, fewer on finer meshes
+_BROWNIAN_BLOCK_VALUES = 256 * 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -156,7 +159,6 @@ def brownian_midpoint_oracle(
     seed: int,
     n_paths: int = 10_000,
     mesh: int = 2 ** 14,
-    block_paths: int = 256,
 ) -> MCReport:
     """Midpoint discretization of the iterated integral on true Brownian paths.
 
@@ -177,6 +179,7 @@ def brownian_midpoint_oracle(
     phi_m = phi(mids)
     psi_m = psi(mids)
 
+    block_paths = max(1, _BROWNIAN_BLOCK_VALUES // mesh)
     samples = np.empty(n_paths)
     for start in range(0, n_paths, block_paths):
         stop = min(start + block_paths, n_paths)

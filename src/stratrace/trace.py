@@ -241,14 +241,10 @@ def _reduced_limit_vector(w_pair, w_outer, basis, n_reduced, quad, from_left: bo
         degree=w_a.degree + w_b.degree + 1 + w_outer.degree + basis.degree_hint(n_reduced),
         phase=w_a.phase + w_b.phase + w_outer.phase + basis.phase_hint(n_reduced),
     )
-
-    def product(y):
-        return w_a(y) * w_b(y)
-
-    running = _running_integral(rule, quad, product, w_a.degree + w_b.degree,
-                                w_a.phase + w_b.phase)(rule.x)
+    product = w_a(rule.x) * w_b(rule.x)
+    running = _running_integral(rule, product)
     if not from_left:
-        running = float(rule.integrate(product(rule.x))) - running
+        running = float(rule.integrate(product)) - running
     reduced_vals = 0.5 * w_outer(rule.x) * running
     q = basis.evaluate_block(rule.x, n_reduced)
     return (rule.w * reduced_vals) @ q

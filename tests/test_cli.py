@@ -245,6 +245,14 @@ def test_config_file_values_must_have_the_field_type(tmp_path, monkeypatch, caps
     assert capsys.readouterr().err.startswith(f"stratrace: error: {field}: ")
 
 
+def test_negative_seed_exits_one_naming_the_field(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(["simulate", "--phi", "poly:1", "--psi", "poly:1", "--basis", "legendre",
+                 "--nmax", "4", "--paths", "10", "--seed", "-1"])
+    assert code == 1
+    assert capsys.readouterr().err.strip() == "stratrace: error: seed: must be >= 0, got -1"
+
+
 def test_node_cap_overrun_exits_one(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code = main(["theorem2", "--phi", "poly:1", "--psi", "poly:1",

@@ -246,6 +246,29 @@ def _pinteg(a):
     return [Fraction(0)] + [c / (k + 1) for k, c in enumerate(a)]
 
 
+def _shifted_legendre(basis_count):
+    """Integer coefficients of the degree-n orthonormal Legendre element on
+    [0, 1], divided by sqrt(2n+1), for n < basis_count."""
+    return [
+        [Fraction((-1) ** (n + k) * math.comb(n, k) * math.comb(n + k, k))
+         for k in range(n + 1)]
+        for n in range(basis_count)
+    ]
+
+
+def _polynomial_matrix_oracle(phi, psi, basis_count):
+    """Exact G[i, j] = int phi q_i (int^t psi q_j) via rational polynomial algebra."""
+    ps = _shifted_legendre(basis_count)
+    phi_c, psi_c = ([Fraction(c) for c in w.coeffs] for w in (phi, psi))
+    out = np.empty((basis_count, basis_count))
+    for j in range(basis_count):
+        inner = _pinteg(_pmul(psi_c, ps[j]))
+        for i in range(basis_count):
+            exact = sum(_pinteg(_pmul(_pmul(phi_c, ps[i]), inner)))
+            out[i, j] = math.sqrt((2 * i + 1) * (2 * j + 1)) * float(exact)
+    return out
+
+
 def _polynomial_tensor_oracle(weights, basis_count):
     """Exact triple iterated integrals via rational polynomial algebra.
 
@@ -254,11 +277,7 @@ def _polynomial_tensor_oracle(weights, basis_count):
     roots stays in Fraction arithmetic.  Entry [i1, i2, i3] nests i1 at the
     innermost level and i3 at the outermost.
     """
-    ps = [
-        [Fraction((-1) ** (n + k) * math.comb(n, k) * math.comb(n + k, k))
-         for k in range(n + 1)]
-        for n in range(basis_count)
-    ]
+    ps = _shifted_legendre(basis_count)
     ws = [[Fraction(c) for c in w.coeffs] for w in weights]
     out = np.empty((basis_count,) * 3)
     for i1 in range(basis_count):
@@ -296,6 +315,30 @@ def test_tensor_with_mixed_weights_against_oracle():
     leg = make_basis("legendre", 4)
     tensor = tensor_coefficients(ONE, TEE, TSQ, leg, 4)
     oracle = _polynomial_tensor_oracle([ONE, TEE, TSQ], 4)
+    assert np.max(np.abs(tensor.entries - oracle)) < 1e-13
+
+
+@pytest.mark.parametrize("phi, psi, count", [
+    (ONE, poly(*[0.0] * 6, 1.0), 8),
+    (poly(0.5, 1.0), poly(1.0, -2.0, 0.5, 3.0, -1.0, 0.25, 2.0, -0.75, 1.5), 16),
+])
+def test_matrix_against_polynomial_algebra_oracle(phi, psi, count):
+    # the running weight outgrows the outer rule's per-panel interpolation
+    # degree; the contraction is still exact
+    leg = make_basis("legendre", count)
+    matrix = coefficient_matrix(phi, psi, leg, count)
+    oracle = _polynomial_matrix_oracle(phi, psi, count)
+    assert np.max(np.abs(matrix.entries - oracle)) < 1e-13
+
+
+@pytest.mark.parametrize("weights", [
+    (poly(*[0.0] * 6, 1.0), ONE, ONE),
+    (ONE, poly(*[0.0] * 6, 1.0), ONE),
+])
+def test_tensor_with_a_high_degree_inner_weight_against_oracle(weights):
+    leg = make_basis("legendre", 4)
+    tensor = tensor_coefficients(*weights, leg, 4)
+    oracle = _polynomial_tensor_oracle(list(weights), 4)
     assert np.max(np.abs(tensor.entries - oracle)) < 1e-13
 
 

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratrace import QuadratureConfig, QuadratureError, composite_rule, gauss_rule, volterra_diagonal
-from stratrace.quadrature import DEFAULT_QUADRATURE, _running_integral, nodes_for, scaled_segments
+from stratrace.quadrature import (
+    DEFAULT_QUADRATURE,
+    _integration_matrix,
+    _running_integral,
+    nodes_for,
+    scaled_segments,
+)
 
 from conftest import make_basis, poly
 
@@ -61,23 +67,32 @@ def test_panel_sums_add_up_to_integral():
     assert abs(rule.panel_sums(vals).sum() - rule.integrate(vals)) < 1e-15
 
 
+def test_integration_matrix_integrates_monomials_below_n():
+    for n in (1, 2, 5, 8, 64):
+        x, _ = gauss_rule(n)
+        s = _integration_matrix(n)
+        for k in range(n):
+            exact = (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+            assert np.max(np.abs(s @ x**k - exact)) < 1e-14
+
+
 def test_running_integral_is_exact_for_cubics():
     rule = composite_rule(0.0, 1.0, DEFAULT_QUADRATURE, degree=3)
     # running integral of t^2 from the left end to each outer node
-    running = _running_integral(rule, DEFAULT_QUADRATURE, lambda y: y**2, 2, 0.0)(rule.x)
+    running = _running_integral(rule, rule.x**2)
     assert np.max(np.abs(running - rule.x**3 / 3.0)) < 1e-14
 
 
-def test_running_integral_at_points_with_a_vector_factor():
+def test_running_integral_with_trailing_axes_across_a_breakpoint():
     rule = composite_rule(0.0, 1.0, DEFAULT_QUADRATURE, breakpoints=[0.3], degree=4)
-    # both ends, a breakpoint, a uniform panel edge and interior points, in a 2-D batch
-    points = np.array([[0.0, 0.3, 0.5, 1.0], [0.01, 0.299, 0.77, 0.999]])
-    def factor(y):
-        return np.stack([np.ones_like(y), y**2], axis=-1)
-
-    running = _running_integral(rule, DEFAULT_QUADRATURE, lambda y: y, 3, 0.0, factor)(points)
-    assert running.shape == (2, 4, 2)
-    exact = np.stack([points**2 / 2.0, points**4 / 4.0], axis=-1)
+    x = rule.x
+    # t times (1, t^2, then t^3 in a second trailing axis), node axis first
+    values = x[:, None, None] * np.stack([np.ones_like(x), x**2, x**3], axis=-1).reshape(-1, 1, 3)
+    running = _running_integral(rule, values)
+    assert running.shape == (len(x), 1, 3)
+    exact = np.stack([x**2 / 2.0, x**4 / 4.0, x**5 / 5.0], axis=-1).reshape(-1, 1, 3)
+    # nodes on both sides of the 0.3 edge, which the rule keeps as a panel edge
+    assert np.isclose(rule.edges, 0.3).any() and x.min() < 0.3 < x.max()
     assert np.max(np.abs(running - exact)) < 1e-15
 
 
