@@ -136,6 +136,10 @@ class MCReport:
     basis_id: str | None = None
     weight_ids: tuple = ()
     metadata: dict = field(default_factory=dict)
+    # exact moments of the expansion's quadratic form; None for the Brownian
+    # scheme, whose moments are not known in closed form
+    exact_variance: float | None = None
+    z_mean: float | None = None
 
     def payload(self) -> dict:
         return jsonable(
@@ -147,6 +151,8 @@ class MCReport:
                 "N": self.truncation,
                 "mean": self.mean,
                 "variance": self.variance,
+                "exact_variance": self.exact_variance,
+                "z_mean": self.z_mean,
                 "ci95": self.ci95,
                 "target_trace": self.target_trace,
                 "target_half_inner": self.target_half_inner,

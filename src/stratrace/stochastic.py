@@ -13,11 +13,16 @@ what ties the simulation back to the trace identity; subtracting the trace
 converts the same-noise value from the midpoint (Stratonovich) convention to
 the left-endpoint (Ito) one.
 
-Randomness is drawn from per-path counter-based streams, so path k is the
-same no matter how many worker processes participate or in which order blocks
-complete.  Two independent oracles are provided: a standalone quadrature of
-the truncated smooth path, and a midpoint discretization of a genuine
-Brownian path on a fine mesh.
+Randomness comes in fixed blocks of BLOCK_PATHS paths.  Each block has one
+generator per noise, keyed by (seed, block, stream): stream 0 gives zeta,
+stream 1 gives eta and stream 2 the increments of the Brownian oracle.  The
+expansion draws are coordinate-major, an (n, BLOCK_PATHS) array drawn whole,
+so coordinate i of path k depends only on (seed, k, i, stream): not on the
+number of paths, the truncation (N = 8 is a prefix of N = 16) or the number
+of worker processes.  One matrix product per block contracts the draws with
+the coefficient matrix.  Two independent oracles are provided: a standalone
+quadrature of the truncated smooth path, and a midpoint discretization of a
+genuine Brownian path on a fine mesh.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Interval, OrthonormalBasis
-from .coeffs import coefficient_matrix
+from .coeffs import cached_coefficient_matrix
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .reports import MCReport
 from .trace import inner_product
@@ -46,12 +51,14 @@ __all__ = [
     "mc_campaign",
 ]
 
-# paths per scheduling block; fixed so the sample order never depends on the
-# worker count
+# paths per block; fixed so that no sample depends on the number of paths or
+# on the worker count
 BLOCK_PATHS = 4096
 # normals held at once by `brownian_midpoint_oracle`: 256 paths at the
 # default mesh, fewer on finer meshes
 _BROWNIAN_BLOCK_VALUES = 256 * 2 ** 14
+# stream tags of the block generators
+_ZETA, _ETA, _BROWNIAN = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -64,19 +71,27 @@ class GaussianDraw:
     path_index: int
 
 
-def _path_generator(master_seed: int, path_index: int, stream: int = 0) -> np.random.Generator:
-    entropy = (master_seed, path_index) if stream == 0 else (master_seed, path_index, stream)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+def _block_generator(master_seed: int, block: int, stream: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((master_seed, block, stream))))
+
+
+def _block_normals(master_seed: int, block: int, stream: int, n: int) -> np.ndarray:
+    """Coordinate-major draws of one block: row i holds coordinate i of all
+    BLOCK_PATHS paths, so fewer rows are a prefix of more."""
+    return _block_generator(master_seed, block, stream).standard_normal((n, BLOCK_PATHS))
 
 
 def gaussian_draw(master_seed: int, path_index: int, n: int, with_eta: bool = False) -> GaussianDraw:
-    """Normals for one path, reproducible from (master_seed, path_index) alone."""
+    """Normals for one path: its column of the block draws that campaigns use.
+
+    Redraws the whole block of `path_index`, so this is for inspecting single
+    paths, not for simulating many.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1 normals, got {n}")
-    gen = _path_generator(master_seed, path_index)
-    block = gen.standard_normal(2 * n if with_eta else n)
-    zeta = block[:n]
-    eta = block[n:] if with_eta else None
+    block, column = divmod(path_index, BLOCK_PATHS)
+    zeta = _block_normals(master_seed, block, _ZETA, n)[:, column].copy()
+    eta = _block_normals(master_seed, block, _ETA, n)[:, column].copy() if with_eta else None
     return GaussianDraw(zeta=zeta, eta=eta, master_seed=master_seed, path_index=path_index)
 
 
@@ -117,8 +132,12 @@ def smooth_path_oracle(
     eta: np.ndarray | None = None,
     mesh: int = 2048,
     nodes: int = 4,
-) -> float:
+) -> float | np.ndarray:
     """Iterated integral of the truncated smooth path by direct quadrature.
+
+    `zeta` (and `eta`) hold the coordinates of one path, shape (N,), giving a
+    float, or a stack of draws, shape (draws, N), giving one value per draw.
+    The basis is evaluated once at the rule's nodes for all the draws.
 
     Deliberately self-contained: a uniform composite Gauss rule with its own
     prefix-sum bookkeeping, sharing no code with the coefficient engine, so a
@@ -131,25 +150,25 @@ def smooth_path_oracle(
     x = (edges[:-1, None] + 0.5 * h * (ref_x[None, :] + 1.0)).ravel()
     w = np.tile(0.5 * h * ref_w, mesh)
 
-    zeta = np.asarray(zeta, dtype=float)[:N]
-    inner_coords = zeta if eta is None else np.asarray(eta, dtype=float)[:N]
-    g_outer = basis.evaluate_block(x, N) @ zeta
-    g_inner = g_outer if eta is None else basis.evaluate_block(x, N) @ inner_coords
+    zeta = np.asarray(zeta, dtype=float)[..., :N]
+    inner_coords = zeta if eta is None else np.asarray(eta, dtype=float)[..., :N]
+    values = basis.evaluate_block(x, N)
 
-    # running integral of psi * g_inner at every node: prefix over full panels
-    # plus an in-panel partial computed with the same reference rule
-    vals = psi(x) * g_inner
-    panel_int = (vals.reshape(mesh, nodes) * (0.5 * h * ref_w)).sum(axis=1)
-    prefix = np.concatenate([[0.0], np.cumsum(panel_int)[:-1]])
+    # running integral of psi * W_N' at every node, as a matrix (one row per
+    # node, one column per basis function) acting on the inner coordinates:
+    # prefix over full panels plus an in-panel partial computed with the same
+    # reference rule
+    panel_int = ((w * psi(x))[:, None] * values).reshape(mesh, nodes, N).sum(axis=1)
+    prefix = np.concatenate([np.zeros((1, N)), np.cumsum(panel_int, axis=0)[:-1]])
     starts = np.repeat(edges[:-1], nodes)
     span = x - starts
-    y = starts[:, None] + span[:, None] * 0.5 * (ref_x[None, :] + 1.0)
-    v = span[:, None] * 0.5 * ref_w[None, :]
-    g_inner_y = basis.evaluate_block(y.ravel(), N) @ inner_coords
-    partial = (v * (psi(y.ravel()) * g_inner_y).reshape(y.shape)).sum(axis=1)
-    running = np.repeat(prefix, nodes) + partial
+    y = (starts[:, None] + span[:, None] * 0.5 * (ref_x[None, :] + 1.0)).ravel()
+    v = (span[:, None] * 0.5 * ref_w[None, :]).ravel() * psi(y)
+    partial = (v[:, None] * basis.evaluate_block(y, N)).reshape(len(x), nodes, N).sum(axis=1)
+    running = np.repeat(prefix, nodes, axis=0) + partial
 
-    return float(np.sum(w * phi(x) * running * g_outer))
+    out = (w * phi(x)) @ ((running @ inner_coords.T) * (values @ zeta.T))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def brownian_midpoint_oracle(
@@ -162,13 +181,14 @@ def brownian_midpoint_oracle(
 ) -> MCReport:
     """Midpoint discretization of the iterated integral on true Brownian paths.
 
-    Each path uses its own counter-based stream (tagged distinctly from the
-    expansion streams) and the update
+    The increments come in blocks of paths sized to bound memory, one
+    generator per block keyed by (seed, block, 2); a block's rows are its
+    paths, so path k does not depend on `n_paths`.  The update
 
         J += phi(t_mid) * (S_k + psi(t_mid) * dW_k / 2) * dW_k,
         S_{k+1} = S_k + psi(t_mid) * dW_k,
 
-    which is the Stratonovich midpoint rule; for constant weights it telescopes
+    is the Stratonovich midpoint rule; for constant weights it telescopes
     to W(T)^2 / 2 exactly.
     """
     if n_paths < 2:
@@ -181,13 +201,10 @@ def brownian_midpoint_oracle(
 
     block_paths = max(1, _BROWNIAN_BLOCK_VALUES // mesh)
     samples = np.empty(n_paths)
-    for start in range(0, n_paths, block_paths):
+    for block, start in enumerate(range(0, n_paths, block_paths)):
         stop = min(start + block_paths, n_paths)
-        block = np.empty((stop - start, mesh))
-        for k in range(start, stop):
-            gen = _path_generator(seed, k, stream=1)
-            block[k - start] = gen.standard_normal(mesh)
-        dW = sqrt_h * block
+        gen = _block_generator(seed, block, _BROWNIAN)
+        dW = sqrt_h * gen.standard_normal((stop - start, mesh))
         increments = psi_m[None, :] * dW
         S = np.cumsum(increments, axis=1) - increments
         samples[start:stop] = np.sum(phi_m[None, :] * (S + 0.5 * increments) * dW, axis=1)
@@ -212,15 +229,13 @@ def brownian_midpoint_oracle(
 
 
 def _simulate_block(args) -> np.ndarray:
-    """One scheduling block of paths; module level so worker processes can
-    unpickle it."""
-    G, master_seed, start, stop, same_process = args
+    """Samples of all BLOCK_PATHS paths of one block, from one matrix
+    product; module level so worker processes can unpickle it."""
+    G, master_seed, block, same_process = args
     n = G.shape[0]
-    out = np.empty(stop - start)
-    for k in range(start, stop):
-        draw = gaussian_draw(master_seed, k, n, with_eta=not same_process)
-        out[k - start] = simulate_stratonovich_pair(G, draw, same_process)
-    return out
+    Z = _block_normals(master_seed, block, _ZETA, n)
+    right = Z if same_process else _block_normals(master_seed, block, _ETA, n)
+    return np.einsum("ip,ip->p", G.T @ Z, right)
 
 
 def mc_campaign(
@@ -238,44 +253,46 @@ def mc_campaign(
 ) -> MCReport:
     """Monte Carlo study of the truncated iterated integral.
 
-    The sample for path k depends only on (seed, k), and samples are assembled
-    in path order, so the report payload is identical for any worker count.
-    With `oracle_draws` > 0 the first few paths are recomputed through the
-    standalone smooth-path quadrature and the root-mean-square discrepancy is
-    attached to the report.
+    Paths are simulated in whole blocks of BLOCK_PATHS (see the module
+    docstring), the last block drawn whole and cut, so the sample of path k
+    depends only on (seed, k) and the matrix; `workers` > 1 splits the
+    blocks between processes and never changes the payload.  The matrix
+    comes from `cached_coefficient_matrix`, so with STRC_CACHE_DIR set a
+    stored matrix is reused.  The report carries the exact variance of the
+    form, 2 ||(G + G^T)/2||_F^2 for the same noise and ||G||_F^2 for
+    independent noises, and the z-score of the mean against it.  With
+    `oracle_draws` > 0 the first min(oracle_draws, n_paths, BLOCK_PATHS)
+    samples of block 0 are recomputed through `smooth_path_oracle` and the
+    root-mean-square discrepancy is attached to the report.
     """
     if n_paths < 2:
         raise ValueError(f"need at least 2 paths, got {n_paths}")
     if workers < 1:
         raise ValueError(f"need at least 1 worker, got {workers}")
-    matrix = coefficient_matrix(phi, psi, basis, N, quad)
+    matrix = cached_coefficient_matrix(phi, psi, basis, N, quad)
     G = matrix.entries
 
-    tasks = [
-        (G, seed, start, min(start + BLOCK_PATHS, n_paths), same_process)
-        for start in range(0, n_paths, BLOCK_PATHS)
-    ]
+    tasks = [(G, seed, block, same_process) for block in range(-(-n_paths // BLOCK_PATHS))]
     if workers == 1:
         blocks = [_simulate_block(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_simulate_block, tasks))
-    samples = np.concatenate(blocks)
+    samples = np.concatenate(blocks)[:n_paths]
 
     oracle_rms = None
     if oracle_draws > 0:
-        oracle_draws = min(oracle_draws, n_paths)
-        errs = np.empty(oracle_draws)
-        for k in range(oracle_draws):
-            draw = gaussian_draw(seed, k, N, with_eta=not same_process)
-            direct = simulate_stratonovich_pair(G, draw, same_process)
-            ref = smooth_path_oracle(
-                phi, psi, basis, draw.zeta, N,
-                eta=None if same_process else draw.eta, mesh=oracle_mesh,
-            )
-            errs[k] = direct - ref
-        oracle_rms = float(np.sqrt(np.mean(errs ** 2)))
+        draws = min(oracle_draws, n_paths, BLOCK_PATHS)
+        zeta = _block_normals(seed, 0, _ZETA, N)[:, :draws].T
+        eta = None if same_process else _block_normals(seed, 0, _ETA, N)[:, :draws].T
+        ref = smooth_path_oracle(phi, psi, basis, zeta, N, eta=eta, mesh=oracle_mesh)
+        oracle_rms = float(np.sqrt(np.mean((samples[:draws] - ref) ** 2)))
 
+    if same_process:
+        sym = 0.5 * (G + G.T)
+        target, exact_variance = float(matrix.trace), 2.0 * float(np.sum(sym * sym))
+    else:
+        target, exact_variance = 0.0, float(np.sum(G * G))
     mean = float(np.mean(samples))
     var = float(np.var(samples, ddof=1))
     return MCReport(
@@ -284,7 +301,7 @@ def mc_campaign(
         mean=mean,
         variance=var,
         ci95=1.96 * math.sqrt(var / n_paths),
-        target_trace=float(matrix.trace) if same_process else 0.0,
+        target_trace=target,
         target_half_inner=0.5 * inner_product(phi, psi, quad),
         oracle_rms=oracle_rms,
         seed=seed,
@@ -295,4 +312,6 @@ def mc_campaign(
             "block_paths": BLOCK_PATHS,
             "oracle_mesh": oracle_mesh if oracle_draws else None,
         },
+        exact_variance=exact_variance,
+        z_mean=(mean - target) / math.sqrt(exact_variance / n_paths) if exact_variance > 0 else None,
     )

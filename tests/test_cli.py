@@ -17,6 +17,7 @@ from stratrace import (
     SymmetrizedVolterra,
     VolterraProduct,
 )
+from stratrace import coeffs as coeffs_module
 from stratrace.cli import csv_from_payload, main, parse_kernel, parse_weight
 
 from conftest import UNIT, poly
@@ -342,3 +343,26 @@ def test_coefficient_run_writes_matrix_table_and_cache(tmp_path, monkeypatch):
     before = cached[0].read_bytes()
     assert main(argv) == 0  # second run is served from the cache
     assert cached[0].read_bytes() == before
+
+
+def test_simulation_reuses_the_matrix_that_coeffs_cached(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    model = ["--phi", "poly:0,1", "--psi", "poly:1,2", "--basis", "legendre", "--nmax", "16"]
+    simulate = ["simulate", *model, "--paths", "500", "--seed", "3"]
+    assert main(simulate + ["--out", "cold"]) == 0
+    monkeypatch.setenv("STRC_CACHE_DIR", str(tmp_path / "cache"))
+    assert main(["coeffs", *model, "--out", "mat"]) == 0
+
+    calls = []
+    engine = coeffs_module.coefficient_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(coeffs_module, "coefficient_matrix", counted)
+    assert main(simulate + ["--out", "warm"]) == 0
+    assert calls == []
+    cold = json.loads((tmp_path / "cold.json").read_text())["payload"]
+    warm = json.loads((tmp_path / "warm.json").read_text())["payload"]
+    assert warm == cold

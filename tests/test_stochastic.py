@@ -1,4 +1,4 @@
-"""Simulation layer: counter-based draws, quadratic forms, the two
+"""Simulation layer: block-stream draws, quadratic forms, the two
 independent path oracles, and deterministic Monte Carlo campaigns.
 
 Frozen seeds everywhere: every stochastic assertion is made against a fixed
@@ -21,6 +21,7 @@ from stratrace import (
     simulate_stratonovich_pair,
     smooth_path_oracle,
 )
+from stratrace.stochastic import BLOCK_PATHS, _simulate_block
 
 from conftest import UNIT, make_basis, poly
 
@@ -55,6 +56,14 @@ def test_paths_get_distinct_streams():
     a = gaussian_draw(11, 0, 16)
     b = gaussian_draw(11, 1, 16)
     assert not np.array_equal(a.zeta, b.zeta)
+
+
+@pytest.mark.parametrize("k", [0, 4095, 4096, 2 * 4096 + 4])
+def test_smaller_truncations_are_prefixes_of_larger_ones(k):
+    small = gaussian_draw(11, k, 8, with_eta=True)
+    large = gaussian_draw(11, k, 16, with_eta=True)
+    assert np.array_equal(small.zeta, large.zeta[:8])
+    assert np.array_equal(small.eta, large.eta[:8])
 
 
 def test_draw_needs_positive_dimension():
@@ -114,6 +123,17 @@ def test_ito_correction_equals_running_trace():
     correction = float(np.trace(G))
     assert correction == pytest.approx(0.25, abs=1e-3)
     assert ito_from_stratonovich(0.0, G) == pytest.approx(-correction, abs=1e-14)
+
+
+@pytest.mark.parametrize("same_process", [True, False])
+def test_block_samples_equal_the_per_path_quadratic_form(same_process):
+    leg = make_basis("legendre", 16)
+    G = coefficient_matrix(ONE, TEE, leg, 16).entries
+    for k in (0, 4095, 4096, 2 * 4096 + 4):
+        block, column = divmod(k, BLOCK_PATHS)
+        sample = _simulate_block((G, 21, block, same_process))[column]
+        draw = gaussian_draw(21, k, 16, with_eta=not same_process)
+        assert sample == pytest.approx(simulate_stratonovich_pair(G, draw, same_process), abs=1e-12)
 
 
 # -- truncated smooth paths --------------------------------------------------------
@@ -186,6 +206,18 @@ def test_oracle_matches_bilinear_form_for_distinct_noises():
     assert abs(direct - ref) <= 1e-6
 
 
+def test_oracle_takes_a_stack_of_draws():
+    leg = make_basis("legendre", 8)
+    zeta = np.array([gaussian_draw(13, k, 8).zeta for k in range(3)])
+    eta = zeta[::-1].copy()
+    for inner in (None, eta):
+        stacked = smooth_path_oracle(ONE, TEE, leg, zeta, 8, eta=inner)
+        singles = [smooth_path_oracle(ONE, TEE, leg, zeta[d], 8,
+                                      eta=None if inner is None else inner[d]) for d in range(3)]
+        assert stacked.shape == (3,)
+        assert np.allclose(stacked, singles, rtol=0.0, atol=1e-14)
+
+
 # -- Brownian midpoint oracle ------------------------------------------------------
 
 
@@ -201,6 +233,12 @@ def test_brownian_oracle_zero_inner_weight():
     report = brownian_midpoint_oracle(ONE, ZERO, UNIT, seed=7, n_paths=100, mesh=256)
     assert report.mean == 0.0
     assert report.variance == 0.0
+
+
+def test_brownian_oracle_has_no_exact_moments():
+    report = brownian_midpoint_oracle(ONE, ONE, UNIT, seed=7, n_paths=10, mesh=64)
+    assert report.exact_variance is None
+    assert report.z_mean is None
 
 
 def test_brownian_oracle_needs_paths():
@@ -248,3 +286,44 @@ def test_campaign_validates_arguments():
         mc_campaign(ONE, ONE, leg, 4, n_paths=1, seed=0)
     with pytest.raises(ValueError, match="at least 1 worker"):
         mc_campaign(ONE, ONE, leg, 4, n_paths=200, seed=0, workers=0)
+
+
+@pytest.mark.parametrize("n_paths", [2, 3, 4097, 5000])
+def test_campaign_samples_are_the_leading_paths_of_its_blocks(n_paths):
+    leg = make_basis("legendre", 8)
+    G = coefficient_matrix(ONE, TEE, leg, 8).entries
+    samples = np.concatenate([_simulate_block((G, 4, b, True)) for b in range(2)])[:n_paths]
+    report = mc_campaign(ONE, TEE, leg, 8, n_paths=n_paths, seed=4)
+    assert report.mean == np.mean(samples)
+    assert report.variance == np.var(samples, ddof=1)
+
+
+@pytest.mark.parametrize("same_process", [True, False])
+def test_exact_variance_agrees_with_the_spectrum(same_process):
+    leg = make_basis("legendre", 16)
+    G = coefficient_matrix(ONE, TEE, leg, 16).entries
+    report = mc_campaign(ONE, TEE, leg, 16, n_paths=100, seed=1, same_process=same_process)
+    if same_process:
+        spectral = float(np.sum(2.0 * np.linalg.eigvalsh(0.5 * (G + G.T)) ** 2))
+    else:
+        spectral = float(np.sum(np.linalg.svd(G, compute_uv=False) ** 2))
+    assert report.exact_variance == pytest.approx(spectral, abs=1e-12)
+    se = math.sqrt(report.exact_variance / report.n_paths)
+    assert report.z_mean == pytest.approx((report.mean - report.target_trace) / se, abs=1e-12)
+
+
+@pytest.mark.parametrize("same_process", [True, False])
+def test_campaign_moments_lie_within_five_standard_errors_of_the_exact_ones(same_process):
+    leg = make_basis("legendre", 16)
+    G = coefficient_matrix(ONE, TEE, leg, 16).entries
+    n = 200_000
+    report = mc_campaign(ONE, TEE, leg, 16, n_paths=n, seed=8, same_process=same_process)
+    var = report.exact_variance
+    if same_process:
+        A2 = np.linalg.matrix_power(0.5 * (G + G.T), 2)
+        kappa4 = 48.0 * float(np.sum(A2 * A2))
+    else:
+        GtG = G.T @ G
+        kappa4 = 6.0 * float(np.sum(GtG * GtG))
+    assert abs(report.z_mean) <= 5.0
+    assert abs(report.variance - var) <= 5.0 * math.sqrt((kappa4 + 2.0 * var ** 2) / n)
