@@ -54,6 +54,7 @@ from .quadrature import (
     QuadratureError,
     composite_rule,
     gauss_rule,
+    integrand_rule,
 )
 from .reports import MCReport, TraceReport, jsonable
 from .stochastic import (

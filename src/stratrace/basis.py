@@ -10,11 +10,12 @@ i.e. Q_i(T) = 0 for i >= 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, composite_rule
+from .quadrature import DEFAULT_QUADRATURE, Factor, QuadratureConfig, integrand_rule
 
 __all__ = ["Interval", "OrthonormalBasis", "FAMILIES", "gram_matrix"]
 
@@ -23,12 +24,14 @@ FAMILIES = ("legendre", "fourier", "haar")
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [t0, T] with T > t0."""
+    """Closed interval [t0, T] with finite ends and T > t0."""
 
     t0: float
     T: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.t0) and math.isfinite(self.T)):
+            raise ValueError(f"interval ends must be finite, got [{self.t0}, {self.T}]")
         if not (self.T > self.t0):
             raise ValueError(f"need T > t0, got [{self.t0}, {self.T}]")
 
@@ -95,18 +98,16 @@ class OrthonormalBasis:
         self._check_index(count - 1)
         return self._block(self._check_points(t), count, antiderivative=True)
 
-    # -- quadrature demand hints --------------------------------------------
+    # -- quadrature demand ---------------------------------------------------
 
-    def degree_hint(self, count: int) -> int:
-        """Polynomial degree of the highest basis function in play."""
-        return count - 1 if self.family == "legendre" else 0
-
-    def phase_hint(self, count: int) -> float:
-        """Total angular sweep over the interval of the fastest oscillation."""
-        if self.family != "fourier":
-            return 0.0
-        k_max = (count - 1 + 1) // 2
-        return 2.0 * np.pi * k_max
+    def factor(self, count: int, antiderivative: bool = False) -> Factor:
+        """The integrand factor of one basis block q_i (or Q_i) with i < count:
+        the degree of the highest basis function in play (one more for the
+        antiderivatives), the angular sweep of the fastest oscillation, and
+        the interior discontinuities."""
+        degree = count - 1 if self.family == "legendre" else 0
+        phase = 2.0 * np.pi * (count // 2) if self.family == "fourier" else 0.0
+        return Factor(degree + int(antiderivative), phase, self.breakpoints(count))
 
     def breakpoints(self, count: int) -> np.ndarray:
         """Interior discontinuity points of basis functions with index < count."""
@@ -202,13 +203,7 @@ def gram_matrix(basis: OrthonormalBasis, n: int, quad: QuadratureConfig = DEFAUL
     """Quadrature Gram matrix of the first n basis functions (identity check)."""
     if n < 1 or n > basis.size:
         raise ValueError(f"need 1 <= n <= {basis.size}, got {n}")
-    rule = composite_rule(
-        basis.interval.t0,
-        basis.interval.T,
-        quad,
-        breakpoints=basis.breakpoints(n),
-        degree=2 * basis.degree_hint(n),
-        phase=2.0 * basis.phase_hint(n),
-    )
+    q = basis.factor(n)
+    rule = integrand_rule(basis.interval, quad, (q, q))
     block = basis.evaluate_block(rule.x, n)
     return (block * rule.w[:, None]).T @ block

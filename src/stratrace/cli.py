@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import sys
 import time
@@ -191,6 +192,9 @@ class ExperimentConfig:
             accepted = (int, float) if kind is float else kind
             if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
                 raise ConfigError(f.name, f"must be of type {kind.__name__}, got {value!r}")
+        for name in ("t0", "T", "tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(name, f"must be finite, got {getattr(self, name)!r}")
         if not (self.T > self.t0):
             raise ConfigError("T", f"need T > t0, got [{self.t0}, {self.T}]")
         if not (self.tol > 0.0):
@@ -307,7 +311,7 @@ def csv_from_payload(payload: dict) -> str:
             for j, entry in enumerate(row):
                 lines.append(f"{i},{j},{_cell(entry)}")
         return "\n".join(lines) + "\n"
-    lines = ["N,partial_sum,target,error"]
+    lines = [f"{payload['index_label']},partial_sum,target,error"]
     target = _cell(payload["target"])
     for n, s, e in zip(payload["N_values"], payload["partial_sums"], payload["errors"]):
         lines.append(f"{_cell(n)},{_cell(s)},{target},{_cell(e)}")

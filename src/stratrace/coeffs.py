@@ -34,7 +34,7 @@ from .quadrature import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
     _running_integral,
-    composite_rule,
+    integrand_rule,
     nodes_for,
     scaled_segments,
 )
@@ -127,24 +127,14 @@ def _check_inputs(basis: OrthonormalBasis, count: int, *weights: WeightFunction)
             )
 
 
-def _union_breakpoints(basis: OrthonormalBasis, count: int, *weights):
-    pieces = [np.asarray(basis.breakpoints(count), dtype=float)]
-    for w in weights:
-        pieces.append(np.asarray(w.breakpoints, dtype=float))
-    return np.unique(np.concatenate(pieces)) if pieces else np.empty(0)
-
-
 def _volterra_tables(phi, psi, basis, count, quad):
     """Tables on one outer rule whose contraction over nodes gives G:
     left[g, i] = w_g phi(x_g) q_i(x_g) and the running primitive Psi[g, j]."""
     _check_inputs(basis, count, phi, psi)
-    iv = basis.interval
-    rule = composite_rule(
-        iv.t0, iv.T, quad,
-        breakpoints=_union_breakpoints(basis, count, phi, psi),
-        degree=phi.degree + psi.degree + 2 * (basis.degree_hint(count) + 1),
-        phase=phi.phase + psi.phase + 2 * basis.phase_hint(count),
-    )
+    # phi q_i R(psi q_j) has degree phi + psi + 2b + 1; Q, Q ask one more, a
+    # spare degree kept so node counts (and where the node cap bites) stay put
+    Q = basis.factor(count, antiderivative=True)
+    rule = integrand_rule(basis.interval, quad, (phi, psi, Q, Q))
     q_out = basis.evaluate_block(rule.x, count)
     psi_run = _running_integral(rule, psi(rule.x)[:, None] * q_out)
     left = (rule.w * phi(rule.x))[:, None] * q_out
@@ -208,10 +198,7 @@ def volterra_norm_sq(
     iv = phi.interval
     if iv != psi.interval:
         raise ValueError("weight functions live on different intervals")
-    breaks = np.union1d(phi.breakpoints, psi.breakpoints)
-    rule = composite_rule(iv.t0, iv.T, quad, breakpoints=breaks,
-                          degree=2 * (phi.degree + psi.degree) + 1,
-                          phase=2 * (phi.phase + psi.phase))
+    rule = integrand_rule(iv, quad, (phi, phi, psi, psi), integrals=1)
     running = _running_integral(rule, psi(rule.x) ** 2)
     return float(rule.integrate(phi(rule.x) ** 2 * running))
 
@@ -224,13 +211,7 @@ def weight_basis_inner(
 ) -> np.ndarray:
     """Vector of inner products (w, q_i) for i < count."""
     _check_inputs(basis, count, w)
-    iv = basis.interval
-    rule = composite_rule(
-        iv.t0, iv.T, quad,
-        breakpoints=_union_breakpoints(basis, count, w),
-        degree=w.degree + basis.degree_hint(count),
-        phase=w.phase + basis.phase_hint(count),
-    )
+    rule = integrand_rule(basis.interval, quad, (w, basis.factor(count)))
     q = basis.evaluate_block(rule.x, count)
     return (rule.w * w(rule.x)) @ q
 
@@ -252,16 +233,14 @@ def _kernel_tables(spec: Kernel, basis: OrthonormalBasis, count: int, quad: Quad
     if spec.interval != basis.interval:
         raise ValueError(f"kernel lives on {spec.interval.id}, basis on {basis.interval.id}")
     iv = spec.interval
-    breaks = np.union1d(np.asarray(spec.breakpoints, dtype=float),
-                        np.asarray(basis.breakpoints(count), dtype=float))
-    degree = spec.degree_hint + basis.degree_hint(count)
-    phase = spec.phase_hint + basis.phase_hint(count)
-    rule = composite_rule(iv.t0, iv.T, quad, breakpoints=breaks,
-                          degree=2 * degree + 1, phase=2 * phase)
+    q = basis.factor(count)
+    rule = integrand_rule(iv, quad, (spec, q, spec, q), integrals=1)
+    breaks = np.union1d(spec.breakpoints, q.breakpoints)
     ladder = np.concatenate([[iv.t0], breaks[(breaks > iv.t0) & (breaks < iv.T)], [iv.T]])
     # segments lie inside one panel: scale the sweep to the widest panel
     frac = np.diff(rule.edges).max() / (iv.T - iv.t0)
-    n_in = nodes_for(quad, degree, phase * frac if phase > 0.0 else 0.0)
+    phase = spec.phase + q.phase
+    n_in = nodes_for(quad, spec.degree + q.degree, phase * frac if phase > 0.0 else 0.0)
 
     dtype = complex if spec.is_complex else float
     inner = np.zeros((len(rule.x), count), dtype=dtype)
@@ -344,14 +323,9 @@ def tensor_coefficients(
     taken at the outer nodes, and the outer rule finishes the job.
     """
     _check_inputs(basis, count, w1, w2, w3)
-    iv = basis.interval
-    bdeg, bph = basis.degree_hint(count), basis.phase_hint(count)
-    rule = composite_rule(
-        iv.t0, iv.T, quad,
-        breakpoints=_union_breakpoints(basis, count, w1, w2, w3),
-        degree=w1.degree + w2.degree + w3.degree + 3 * (bdeg + 1),
-        phase=w1.phase + w2.phase + w3.phase + 3 * bph,
-    )
+    # one spare degree, as in `_volterra_tables`
+    Q = basis.factor(count, antiderivative=True)
+    rule = integrand_rule(basis.interval, quad, (w1, w2, w3, Q, Q, Q))
     q_out = basis.evaluate_block(rule.x, count)
     # psi1[g, i1]: the innermost primitive at each outer node
     psi1 = _running_integral(rule, w1(rule.x)[:, None] * q_out)

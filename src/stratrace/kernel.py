@@ -16,6 +16,7 @@ lattice with the xi-integral done numerically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,8 @@ from .basis import Interval
 from .quadrature import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
-    composite_rule,
     gauss_rule,
+    integrand_rule,
     nodes_for,
     scaled_segments,
 )
@@ -63,13 +64,13 @@ class Kernel:
     def evaluate(self, t, tau):
         raise NotImplementedError
 
-    # quadrature demand hints, per variable
+    # quadrature demand per variable: one integrand factor in t, one in tau
     @property
-    def degree_hint(self) -> int:
+    def degree(self) -> int:
         return 0
 
     @property
-    def phase_hint(self) -> float:
+    def phase(self) -> float:
         return 0.0
 
     @property
@@ -84,7 +85,7 @@ class Kernel:
 @dataclass(frozen=True)
 class _WeightPair(Kernel):
     """A kernel built from two weight functions on a common interval; the
-    quadrature hints are the weights' worst.  Kinds differ in `evaluate` and
+    quadrature demand is the weights' worst.  Kinds differ in `evaluate` and
     in the `_name` their id carries."""
 
     phi: WeightFunction
@@ -96,11 +97,11 @@ class _WeightPair(Kernel):
         object.__setattr__(self, "interval", self.phi.interval)
 
     @property
-    def degree_hint(self):
+    def degree(self):
         return max(self.phi.degree, self.psi.degree)
 
     @property
-    def phase_hint(self):
+    def phase(self):
         return max(self.phi.phase, self.psi.phase)
 
     @property
@@ -170,7 +171,7 @@ class _Monomial(_TwoSided):
             raise ValueError("monomial kernel needs n >= 0 and m >= 1")
 
     @property
-    def degree_hint(self):
+    def degree(self):
         return self.m + self.n
 
     @property
@@ -225,7 +226,7 @@ class ComplexExponential(_TwoSided):
         return np.exp(1j * self.n * tau) * np.exp(1j * self.m * t)
 
     @property
-    def phase_hint(self):
+    def phase(self):
         return (abs(self.n) + abs(self.m)) * self.interval.length
 
     @property
@@ -246,15 +247,25 @@ def evaluate_kernel(spec: Kernel, t, tau):
 
 def _box_nodes(spec: Kernel, eps: float, base_nodes: int) -> int:
     cfg = QuadratureConfig(panels=1, nodes_per_panel=base_nodes)
-    local_phase = spec.phase_hint * (2.0 * eps) / spec.interval.length
-    return nodes_for(cfg, 2 * spec.degree_hint + 1, local_phase)
+    local_phase = spec.phase * (2.0 * eps) / spec.interval.length
+    return nodes_for(cfg, 2 * spec.degree + 1, local_phase)
+
+
+def _check_eps(interval: Interval, eps: float) -> None:
+    """Below the float spacing at the ends, t +- eps rounds back to t and the
+    average divides a lost width by 4 eps^2."""
+    if not (eps > 0.0):
+        raise ValueError(f"eps must be positive, got {eps}")
+    spacing = math.ulp(max(abs(interval.t0), abs(interval.T)))
+    if eps < spacing:
+        raise ValueError(f"eps {eps:.3g} is below the float spacing {spacing:.3g} "
+                         f"at the ends of {interval.id}")
 
 
 def averaging(spec: Kernel, eps: float, t: float, tau: float, nodes: int = 24):
     """Box average of the zero-extended kernel over the eps-box around (t, tau)."""
-    if not (eps > 0.0):
-        raise ValueError(f"eps must be positive, got {eps}")
     iv = spec.interval
+    _check_eps(iv, eps)
     th_lo, th_hi = max(iv.t0, t - eps), min(iv.T, t + eps)
     vt_lo, vt_hi = max(iv.t0, tau - eps), min(iv.T, tau + eps)
     zero = 0.0j if spec.is_complex else 0.0
@@ -304,9 +315,7 @@ def default_eps_schedule(interval: Interval, k_min: int = 3, k_max: int = 12):
 
 def _diagonal_integral(spec: Kernel, quad: QuadratureConfig):
     """int f(t, t) dt, the limit every trace route of a kernel aims at."""
-    iv = spec.interval
-    rule = composite_rule(iv.t0, iv.T, quad, breakpoints=spec.breakpoints,
-                          degree=2 * spec.degree_hint, phase=2 * spec.phase_hint)
+    rule = integrand_rule(spec.interval, quad, (spec, spec))
     value = rule.integrate(spec.evaluate(rule.x, rule.x))
     return complex(value) if spec.is_complex else float(value)
 
@@ -327,21 +336,15 @@ def diagonal_trace(
     if eps_schedule is None:
         eps_schedule = default_eps_schedule(iv)
     eps_schedule = [float(e) for e in eps_schedule]
-    if any(e <= 0 for e in eps_schedule):
-        raise ValueError("eps schedule must be positive")
     if any(b >= a for a, b in zip(eps_schedule[:-1], eps_schedule[1:])):
         raise ValueError("eps schedule must be strictly decreasing")
+    _check_eps(iv, eps_schedule[-1])  # the smallest, as the schedule decreases
 
     target = _diagonal_integral(spec, quad)
     sums = []
     for eps in eps_schedule:
-        breaks = np.concatenate([[iv.t0 + eps, iv.T - eps], spec.breakpoints])
-        rule = composite_rule(
-            iv.t0, iv.T, quad,
-            breakpoints=breaks,
-            degree=2 * spec.degree_hint + 2,
-            phase=2 * spec.phase_hint,
-        )
+        rule = integrand_rule(iv, quad, (spec, spec), integrals=2,
+                              breakpoints=[iv.t0 + eps, iv.T - eps])
         vals = np.array([averaging(spec, eps, t, t) for t in rule.x])
         s = rule.integrate(vals)
         sums.append(complex(s) if spec.is_complex else float(s))

@@ -6,6 +6,11 @@ The per-panel node count starts at the configured default and is raised until
 the rule is exact for the declared polynomial degree and resolves the declared
 oscillation; refusal to meet a demand raises instead of silently degrading.
 
+Engines get their rules from one builder, `integrand_rule`: they list their
+integrand's factors (weights, a kernel once per variable, basis blocks from
+`OrthonormalBasis.factor`) and running integrals; it sums the degrees and
+phases and unites the breakpoints.
+
 Running integrals x_g -> int_{t0}^{x_g} f at a composite rule's own nodes,
 which every coefficient engine and the reduced tensor limits need, are built
 in one place, `_running_integral`: per-panel prefix sums of the rule plus one
@@ -26,10 +31,12 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureError",
     "CompositeRule",
+    "Factor",
     "gauss_rule",
     "nodes_for",
     "panel_edges",
     "composite_rule",
+    "integrand_rule",
     "scaled_segments",
 ]
 
@@ -42,12 +49,10 @@ class QuadratureError(RuntimeError):
 class QuadratureConfig:
     """Baseline composite rule: `panels` uniform panels, `nodes_per_panel`
     Gauss nodes each (exact for polynomials of degree <= 2*nodes_per_panel - 1
-    per panel).  `tolerance` is the accuracy the engine is allowed to assume
-    when deciding convergence flags."""
+    per panel), raised on demand up to `max_nodes_per_panel`."""
 
     panels: int = 16
     nodes_per_panel: int = 8
-    tolerance: float = 1e-12
     max_nodes_per_panel: int = 4096
 
     def __post_init__(self):
@@ -55,11 +60,9 @@ class QuadratureConfig:
             raise ValueError(f"panels must be >= 1, got {self.panels}")
         if self.nodes_per_panel < 1:
             raise ValueError(f"nodes_per_panel must be >= 1, got {self.nodes_per_panel}")
-        if not (self.tolerance > 0.0):
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
     def fingerprint(self) -> str:
-        return f"gl:p{self.panels}:n{self.nodes_per_panel}:tol{self.tolerance:g}"
+        return f"gl:p{self.panels}:n{self.nodes_per_panel}"
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -168,6 +171,29 @@ def composite_rule(
     x = (mid[:, None] + half[:, None] * ref_x[None, :]).ravel()
     w = (half[:, None] * ref_w[None, :]).ravel()
     return CompositeRule(x=x, w=w, edges=edges, nodes_per_panel=n)
+
+
+@dataclass(frozen=True)
+class Factor:
+    """An integrand factor as a rule sees it; weights and kernels carry the
+    same three attributes, so they are factors as they stand."""
+
+    degree: int
+    phase: float
+    breakpoints: np.ndarray
+
+
+def integrand_rule(interval, config: QuadratureConfig, factors, integrals: int = 0,
+                   breakpoints=()) -> CompositeRule:
+    """Rule over `interval` (anything with `t0` and `T`) for the product of
+    `factors` under `integrals` running integrals: degree = sum of degrees +
+    integrals, phase = sum of phases, breakpoints = union of all of them."""
+    degree = sum(f.degree for f in factors) + integrals
+    phase = sum(f.phase for f in factors)
+    breaks = np.concatenate([np.asarray(breakpoints, dtype=float)]
+                            + [np.asarray(f.breakpoints, dtype=float) for f in factors])
+    return composite_rule(interval.t0, interval.T, config, breakpoints=breaks,
+                          degree=degree, phase=phase)
 
 
 def scaled_segments(lo, hi, inner_nodes: int):

@@ -98,10 +98,6 @@ class TraceReport:
             metadata={} if metadata is None else metadata,
         )
 
-    @property
-    def final_error(self) -> float:
-        return float(self.abs_errors[-1]) if self.abs_errors else float("nan")
-
     def payload(self) -> dict:
         return jsonable(
             {

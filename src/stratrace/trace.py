@@ -33,7 +33,7 @@ from .kernel import (
     _diagonal_integral,
     diagonal_trace,
 )
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, _running_integral, composite_rule
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, _running_integral, integrand_rule
 from .reports import TraceReport
 from .weights import PolynomialWeight, WeightFunction
 
@@ -58,12 +58,7 @@ def inner_product(
     iv = phi.interval
     if iv != psi.interval:
         raise ValueError("weight functions live on different intervals")
-    rule = composite_rule(
-        iv.t0, iv.T, quad,
-        breakpoints=np.union1d(phi.breakpoints, psi.breakpoints),
-        degree=phi.degree + psi.degree,
-        phase=phi.phase + psi.phase,
-    )
+    rule = integrand_rule(iv, quad, (phi, psi))
     return float(rule.integrate(phi(rule.x) * psi(rule.x)))
 
 
@@ -230,17 +225,8 @@ def _reduced_limit_vector(w_pair, w_outer, basis, n_reduced, quad, from_left: bo
     R is the running integral of w_pair[0] * w_pair[1] from the left endpoint
     (from_left) or up to the right endpoint."""
     w_a, w_b = w_pair
-    iv = w_a.interval
-    breaks = np.union1d(
-        np.union1d(w_a.breakpoints, w_b.breakpoints),
-        np.union1d(w_outer.breakpoints, basis.breakpoints(n_reduced)),
-    )
-    rule = composite_rule(
-        iv.t0, iv.T, quad,
-        breakpoints=breaks,
-        degree=w_a.degree + w_b.degree + 1 + w_outer.degree + basis.degree_hint(n_reduced),
-        phase=w_a.phase + w_b.phase + w_outer.phase + basis.phase_hint(n_reduced),
-    )
+    rule = integrand_rule(w_a.interval, quad, (w_a, w_b, w_outer, basis.factor(n_reduced)),
+                          integrals=1)
     product = w_a(rule.x) * w_b(rule.x)
     running = _running_integral(rule, product)
     if not from_left:

@@ -2,14 +2,15 @@
 
 Three representations: monomial-coefficient polynomials, integer-frequency
 sin/cos sums, and tabulated piecewise-linear data on a grid spanning the
-interval.  Each carries the quadrature demand hints (degree, phase,
-breakpoints) the exactness-aware engine needs, plus a canonical id string used
-in reports and cache keys.
+interval.  Each is an integrand factor for the exactness-aware engine (it
+carries a degree, a phase and breakpoints), plus a canonical id string used
+in reports and cache keys.  Every number they are built from must be finite.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ __all__ = [
 
 
 class WeightFunction:
-    """Common surface: call on floats/arrays, expose quadrature hints."""
+    """Common surface: call on floats/arrays, expose the quadrature demand."""
 
     interval: Interval
 
@@ -66,7 +67,10 @@ class PolynomialWeight(WeightFunction):
     def __post_init__(self):
         if len(self.coeffs) == 0:
             raise ValueError("polynomial weight needs at least one coefficient")
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        coeffs = tuple(float(c) for c in self.coeffs)
+        if not all(math.isfinite(c) for c in coeffs):
+            raise ValueError(f"polynomial coefficients must be finite, got {coeffs}")
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __call__(self, t):
         return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), np.asarray(self.coeffs))
@@ -94,6 +98,8 @@ class TrigSumWeight(WeightFunction):
             raise ValueError("trig weight needs at least one term")
         if any(k < 0 for (k, _, _) in norm):
             raise ValueError("trig frequencies must be non-negative integers")
+        if not all(math.isfinite(s) and math.isfinite(c) for (_, s, c) in norm):
+            raise ValueError(f"trig amplitudes must be finite, got {norm}")
         object.__setattr__(self, "terms", norm)
 
     def __call__(self, t):
@@ -126,6 +132,8 @@ class TabulatedWeight(WeightFunction):
         values = np.asarray(self.values, dtype=float)
         if grid.ndim != 1 or grid.shape != values.shape or len(grid) < 2:
             raise ValueError("tabulated weight needs matching 1-d grid/values with >= 2 points")
+        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+            raise ValueError("tabulated grid and values must be finite")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("tabulated grid must be strictly increasing")
         tol = 1e-9 * self.interval.length

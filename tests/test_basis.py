@@ -123,6 +123,23 @@ def test_id_records_family_interval_and_size():
     assert OrthonormalBasis("fourier", Interval(0.0, 2.0), 5).id == "fourier[0,2]:n5"
 
 
+@pytest.mark.parametrize("count", [1, 5, 8])
+def test_basis_factor_per_family(count):
+    legendre, fourier, haar = (make_basis(f, 8) for f in ("legendre", "fourier", "haar"))
+    for antiderivative in (False, True):
+        extra = int(antiderivative)
+        q = legendre.factor(count, antiderivative)
+        assert (q.degree, q.phase, q.breakpoints.size) == (count - 1 + extra, 0.0, 0)
+        q = fourier.factor(count, antiderivative)
+        assert (q.degree, q.breakpoints.size) == (extra, 0)
+        assert q.phase == 2.0 * np.pi * (count // 2)
+        q = haar.factor(count, antiderivative)
+        assert (q.degree, q.phase) == (extra, 0.0)
+        assert np.array_equal(q.breakpoints, haar.breakpoints(count))
+    assert fourier.factor(5).phase == pytest.approx(4.0 * np.pi)
+    assert np.array_equal(haar.factor(8).breakpoints, np.arange(1, 8) / 8.0)
+
+
 def test_haar_breakpoints_are_dyadic():
     basis = make_basis("haar", 8)
     assert np.allclose(basis.breakpoints(8), np.arange(1, 8) / 8.0)

@@ -275,7 +275,49 @@ def test_tabulated_weight_through_the_cli(tmp_path, monkeypatch):
     assert payload["target"] == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("field, flags, table", [
+    ("phi", ["--phi", "poly:nan", "--psi", "poly:1"], None),
+    ("psi", ["--phi", "poly:1", "--psi", "trig:1,inf,0"], None),
+    ("phi", ["--phi", "table:@{table}", "--psi", "poly:1"], "0.0,1.0\n0.5,nan\n1.0,1.0\n"),
+    ("phi", ["--phi", "table:@{table}", "--psi", "poly:1"], "0.0,1.0\nnan,2.0\n1.0,1.0\n"),
+    ("T", ["--phi", "poly:1", "--psi", "poly:1", "--T", "inf"], None),
+    ("tol", ["--phi", "poly:1", "--psi", "poly:1", "--tol", "inf"], None),
+], ids=["poly-nan", "trig-inf", "table-nan-value", "table-nan-grid", "T-inf", "tol-inf"])
+def test_non_finite_input_exits_one_naming_the_field(tmp_path, monkeypatch, capsys,
+                                                     field, flags, table):
+    monkeypatch.chdir(tmp_path)
+    if table is not None:
+        (tmp_path / "w.csv").write_text(table)
+    flags = [f.replace("{table}", str(tmp_path / "w.csv")) for f in flags]
+    code = main(["theorem2", *flags, "--basis", "legendre", "--nmax", "4", "--out", "bad"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"stratrace: error: {field}: ")
+    assert "finite" in err
+    assert not (tmp_path / "bad.json").exists()
+
+
+def test_eps_below_the_float_spacing_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(["theorem1", "--kernel", "min:1,1", "--basis", "legendre", "--nmax", "8",
+                 "--eps-kmax", "60", "--out", "deep"])
+    assert code == 1
+    assert "below the float spacing" in capsys.readouterr().err
+    assert not (tmp_path / "deep.json").exists()
+
+
 # -- report files: round trip and determinism ---------------------------------------
+
+
+def test_csv_header_names_the_ladder_index(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    main(["basis-independence", "--phi", "poly:1", "--psi", "poly:0,1", "--nmax", "8",
+          "--out", "bi"])
+    payload = json.loads((tmp_path / "bi.json").read_text())["payload"]
+    assert payload["index_label"] == "basis_index"
+    lines = (tmp_path / "bi.csv").read_text().splitlines()
+    assert lines[0] == "basis_index,partial_sum,target,error"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
 
 
 def test_csv_regenerates_from_json_payload(tmp_path, monkeypatch):

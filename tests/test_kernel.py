@@ -199,6 +199,25 @@ def test_diagonal_trace_ladder_is_indexed_by_eps():
     assert len(report.partial_sums) == len(schedule)
 
 
+def test_box_averaging_is_exact_down_to_the_float_spacing():
+    spec = MonomialMin(1, 1, UNIT)
+    report = diagonal_trace(spec, default_eps_schedule(UNIT, 52, 52))
+    assert report.target == pytest.approx(0.25, abs=1e-15)
+    assert abs(report.partial_sums[-1] - report.target) <= 1e-12
+
+
+def test_eps_below_the_float_spacing_is_rejected():
+    spec = MonomialMin(1, 1, UNIT)
+    with pytest.raises(ValueError, match="eps 5.55e-17 is below the float spacing"):
+        averaging(spec, 2.0 ** -54, 0.5, 0.5)
+    with pytest.raises(ValueError, match="eps .* is below the float spacing"):
+        diagonal_trace(spec, default_eps_schedule(UNIT, 50, 54))
+    # the spacing grows with the ends' magnitude
+    far = MonomialMin(0, 1, Interval(1023.0, 1024.0))
+    with pytest.raises(ValueError, match="below the float spacing"):
+        averaging(far, 2.0 ** -45, 1023.5, 1023.5)
+
+
 def test_eps_schedule_validation():
     assert default_eps_schedule(UNIT, 3, 3) == [0.125]
     with pytest.raises(ValueError):

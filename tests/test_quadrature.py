@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from stratrace import QuadratureConfig, QuadratureError, composite_rule, gauss_rule, volterra_diagonal
 from stratrace.quadrature import (
     DEFAULT_QUADRATURE,
+    Factor,
+    integrand_rule,
     _integration_matrix,
     _running_integral,
     nodes_for,
     scaled_segments,
 )
 
-from conftest import make_basis, poly
+from conftest import UNIT, make_basis, poly
 
 
 def test_gauss_rule_exact_for_monomials_up_to_2n_minus_1():
@@ -129,6 +131,32 @@ def test_fingerprint_tracks_every_precision_field():
     b = QuadratureConfig(panels=32)
     c = QuadratureConfig(nodes_per_panel=12)
     assert len({a.fingerprint(), b.fingerprint(), c.fingerprint()}) == 3
+
+
+def test_fingerprint_names_panels_and_nodes():
+    assert QuadratureConfig().fingerprint() == "gl:p16:n8"
+    assert QuadratureConfig(panels=3, nodes_per_panel=5).fingerprint() == "gl:p3:n5"
+
+
+def test_integrand_rule_sums_degrees_and_phases_and_unites_breakpoints():
+    cfg = QuadratureConfig(panels=4, nodes_per_panel=1)
+    factors = (Factor(3, 0.0, np.array([0.3])), Factor(2, 4.0 * np.pi, np.empty(0)),
+               poly(1.0, 2.0), Factor(0, 2.0 * np.pi, np.array([0.3, 0.6])))
+    rule = integrand_rule(UNIT, cfg, factors, integrals=2, breakpoints=[0.9])
+    # degree 3 + 2 + 1 + 0 + 2 integrals = 8 needs 5 nodes; phase 6 pi over the
+    # widest panel (1/4) adds ceil(0.67 * 1.5 pi) + 14
+    expected = composite_rule(0.0, 1.0, cfg, breakpoints=[0.3, 0.6, 0.9], degree=8,
+                              phase=6.0 * np.pi)
+    assert rule.nodes_per_panel == expected.nodes_per_panel == 5 + 14 + 4
+    assert np.array_equal(rule.edges, [0.0, 0.25, 0.3, 0.5, 0.6, 0.75, 0.9, 1.0])
+    assert np.array_equal(rule.edges, expected.edges)
+
+
+def test_integrand_rule_without_factors_is_the_baseline_rule():
+    rule = integrand_rule(UNIT, DEFAULT_QUADRATURE, ())
+    assert rule.nodes_per_panel == DEFAULT_QUADRATURE.nodes_per_panel
+    assert np.array_equal(rule.edges, np.linspace(0.0, 1.0, DEFAULT_QUADRATURE.panels + 1))
+    assert integrand_rule(UNIT, QuadratureConfig(nodes_per_panel=1), (), integrals=3).nodes_per_panel == 2
 
 
 def test_invalid_interval_rejected():

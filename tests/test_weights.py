@@ -76,6 +76,21 @@ def test_tabulated_grid_validation():
         TabulatedWeight(np.array([0.1, 1.0]), np.zeros(2), UNIT)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: PolynomialWeight((1.0, float("nan")), UNIT),
+    lambda: TrigSumWeight(((1, float("inf"), 0.0),), UNIT),
+    lambda: TrigSumWeight(((0, 0.0, float("-inf")),), UNIT),
+    lambda: TabulatedWeight(np.array([0.0, 0.5, 1.0]), np.array([1.0, np.nan, 1.0]), UNIT),
+    lambda: TabulatedWeight(np.array([0.0, np.nan, 1.0]), np.array([1.0, 2.0, 1.0]), UNIT),
+    lambda: Interval(0.0, float("inf")),
+    lambda: Interval(float("nan"), 1.0),
+], ids=["poly-nan", "trig-inf", "trig-neg-inf", "table-nan-value", "table-nan-grid",
+        "interval-inf", "interval-nan"])
+def test_non_finite_numbers_are_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def test_tabulated_id_is_content_addressed():
     a = TabulatedWeight(np.array([0.0, 1.0]), np.array([1.0, 2.0]), UNIT)
     b = TabulatedWeight(np.array([0.0, 1.0]), np.array([1.0, 2.0]), UNIT)
