@@ -2,9 +2,13 @@
 
 Each subcommand configures one experiment, runs it through the library, and
 writes a pair of files: `<out>.json` holding {"payload": ..., "env": ...} and
-`<out>.csv` with the plot-ready table regenerated from the payload alone.
-Scientific payloads are deterministic for a fixed config and seed; wall time
-and host details are quarantined in the env block.
+`<out>.csv` with the plot-ready table, which `csv_from_payload` regenerates
+from the payload alone.  The JSON file is `json.dumps(indent=2)` text, but the
+rows of a coeffs matrix are streamed into it one at a time: each entry's repr
+is made once and written to both files, so no document-sized string is held.
+Scientific payloads are deterministic for a fixed config and seed; the wall
+time of the experiment, the time spent writing its files and host details are
+quarantined in the env block.
 
 Exit codes: 0 when the experiment ran and converged (or has no convergence
 notion), 2 when it ran but did not converge, 1 on any error.
@@ -299,6 +303,25 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _row_cells(row) -> list:
+    """The text of each entry of one matrix row, shared by both report files.
+
+    A float's repr is also json.dumps's text for it when it is finite.  Rows
+    holding anything but floats (ints, [re, im] pairs) take `_cell`.
+    """
+    if isinstance(row, np.ndarray):
+        row = row.tolist()
+    try:
+        return list(map(float.__repr__, row))
+    except TypeError:
+        return [_cell(v) for v in row]
+
+
+def _csv_lines(i: int, cells: list) -> str:
+    """The `i,j,entry` lines of row i of a coefficient matrix."""
+    return "".join(f"{i},{j},{cell}\n" for j, cell in enumerate(cells))
+
+
 def csv_from_payload(payload: dict) -> str:
     """Regenerate the CSV table from a JSON payload alone."""
     experiment = payload.get("experiment")
@@ -306,11 +329,8 @@ def csv_from_payload(payload: dict) -> str:
         columns = ("n_paths", "N", "mean", "variance", "ci95", "target_trace", "target_half_inner")
         return ",".join(columns) + "\n" + ",".join(_cell(payload[k]) for k in columns) + "\n"
     if experiment == "coeffs":
-        lines = ["i,j,entry"]
-        for i, row in enumerate(payload["entries"]):
-            for j, entry in enumerate(row):
-                lines.append(f"{i},{j},{_cell(entry)}")
-        return "\n".join(lines) + "\n"
+        return "i,j,entry\n" + "".join(
+            _csv_lines(i, _row_cells(row)) for i, row in enumerate(payload["entries"]))
     lines = [f"{payload['index_label']},partial_sum,target,error"]
     target = _cell(payload["target"])
     for n, s, e in zip(payload["N_values"], payload["partial_sums"], payload["errors"]):
@@ -318,21 +338,75 @@ def csv_from_payload(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# stands in for the env block and for a streamed matrix in the json.dumps text
+# of a report; it is found by position, env's as the document's last value and
+# the matrix's after the payload's own "entries" key, so that a payload string
+# equal to it is written as any other string
+_GAP = "\0gap\0"
+
+
+def _streamable(matrix) -> bool:
+    """Whether a matrix is written as its entries' reprs: a finite real 2-D
+    array (json.dumps writes NaN and Infinity where repr gives nan and inf)."""
+    return (isinstance(matrix, np.ndarray) and matrix.ndim == 2 and matrix.dtype.kind == "f"
+            and bool(np.isfinite(matrix).all()))
+
+
+def _write_matrix(doc, table, matrix: np.ndarray) -> None:
+    """Stream a matrix row by row into the JSON document, laid out as
+    json.dumps(indent=2) lays out the value of a payload key, and into the CSV
+    table as `i,j,entry` lines."""
+    table.write("i,j,entry\n")
+    if len(matrix) == 0:
+        doc.write("[]")
+        return
+    row_start, entry_sep = "\n      ", ",\n        "  # rows 6 deep, entries 8
+    for i, row in enumerate(matrix):
+        cells = _row_cells(row)
+        doc.write(("[" if i == 0 else ",") + row_start)
+        doc.write(("[" + entry_sep[1:] + entry_sep.join(cells) + row_start + "]") if cells
+                  else "[]")
+        table.write(_csv_lines(i, cells))
+    doc.write("\n    ]")
+
+
 def _write_outputs(out_prefix: str, payload: dict, wall_ms: float) -> None:
-    env = {
-        "wall_time_ms": wall_ms,
-        "versions": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "stratrace": __version__,
-        },
-        "host": platform.node(),
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    Path(out_prefix + ".json").write_text(
-        json.dumps({"payload": payload, "env": env}, indent=2) + "\n", encoding="utf-8"
-    )
-    Path(out_prefix + ".csv").write_text(csv_from_payload(payload), encoding="utf-8", newline="")
+    """Write `<out>.json` and `<out>.csv`.
+
+    The document is json.dumps(indent=2) text.  A coeffs matrix is streamed
+    into a gap left in it, one repr per entry shared with the CSV, and the env
+    block goes last, so that it can time the writing of everything else.
+    """
+    started = time.perf_counter()
+    matrix = payload.get("entries") if payload.get("experiment") == "coeffs" else None
+    streamed = _streamable(matrix)
+    body = jsonable({**payload, "entries": _GAP} if streamed else payload)
+    gap = json.dumps(_GAP)
+    text = json.dumps({"payload": body, "env": _GAP}, indent=2)
+    end = text.rindex(gap)
+    text, tail = text[:end], text[end + len(gap):]
+    with open(out_prefix + ".json", "w", encoding="utf-8") as doc, \
+            open(out_prefix + ".csv", "w", encoding="utf-8", newline="") as table:
+        if streamed:
+            key = '\n    "entries": '  # the payload's own key; nested keys sit deeper
+            head, _, text = text.partition(key + gap)
+            doc.write(head + key)
+            _write_matrix(doc, table, matrix)
+        else:
+            table.write(csv_from_payload(body))
+        doc.write(text)
+        env = {
+            "wall_time_ms": wall_ms,
+            "write_time_ms": (time.perf_counter() - started) * 1000.0,
+            "versions": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "stratrace": __version__,
+            },
+            "host": platform.node(),
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+        }
+        doc.write(json.dumps(env, indent=2).replace("\n", "\n  ") + tail + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +418,7 @@ def _coeffs(c: ExperimentConfig):
         c.weight("phi"), c.weight("psi"), c.make_basis(), c.nmax, c.quadrature,
         directory=c.cache_dir,
     )
-    return jsonable({
+    return {
         "experiment": "coeffs",
         "basis": matrix.basis_id,
         "weights": list(matrix.weight_ids),
@@ -352,7 +426,7 @@ def _coeffs(c: ExperimentConfig):
         "quad": matrix.quad_fingerprint,
         "trace": matrix.trace,
         "entries": matrix.entries,
-    }), True
+    }, True
 
 
 def _theorem2(c: ExperimentConfig):

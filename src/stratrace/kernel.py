@@ -336,6 +336,8 @@ def diagonal_trace(
     if eps_schedule is None:
         eps_schedule = default_eps_schedule(iv)
     eps_schedule = [float(e) for e in eps_schedule]
+    if not eps_schedule:
+        raise ValueError("eps schedule is empty: need at least one width")
     if any(b >= a for a, b in zip(eps_schedule[:-1], eps_schedule[1:])):
         raise ValueError("eps schedule must be strictly decreasing")
     _check_eps(iv, eps_schedule[-1])  # the smallest, as the schedule decreases

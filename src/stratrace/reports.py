@@ -17,13 +17,16 @@ __all__ = ["TraceReport", "MCReport", "jsonable"]
 def jsonable(value):
     """Convert numpy scalars/arrays and complex numbers to JSON-safe values.
 
-    Complex numbers become [re, im] pairs.
+    Complex numbers become [re, im] pairs.  A real array's `tolist()` already
+    holds only Python bools, ints and floats.
     """
     if isinstance(value, dict):
         return {k: jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
+        if value.dtype.kind in "biuf":
+            return value.tolist()
         return [jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.floating,)):
         return float(value)

@@ -5,9 +5,14 @@ tmp_path because reports land in the working directory by default.
 """
 
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stratrace import (
     ComplexExponential,
@@ -17,6 +22,7 @@ from stratrace import (
     SymmetrizedVolterra,
     VolterraProduct,
 )
+from stratrace import cli
 from stratrace import coeffs as coeffs_module
 from stratrace.cli import csv_from_payload, main, parse_kernel, parse_weight
 
@@ -408,3 +414,174 @@ def test_simulation_reuses_the_matrix_that_coeffs_cached(tmp_path, monkeypatch):
     cold = json.loads((tmp_path / "cold.json").read_text())["payload"]
     warm = json.loads((tmp_path / "warm.json").read_text())["payload"]
     assert warm == cold
+
+
+@pytest.mark.parametrize("family", ["legendre", "fourier", "haar"])
+def test_coeffs_files_are_json_dumps_text_and_regenerate_from_the_payload(
+        tmp_path, monkeypatch, family):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("STRC_CACHE_DIR", raising=False)
+    assert main(["coeffs", "--phi", "poly:1,-2,3", "--psi", "trig:1,1,0.5", "--basis", family,
+                 "--nmax", "64", "--out", "mat"]) == 0
+    text = (tmp_path / "mat.json").read_text(encoding="utf-8")
+    doc = json.loads(text)
+    # compared as lists of lines: pytest's diff of two long strings takes minutes
+    assert text.split("\n") == (json.dumps(doc, indent=2) + "\n").split("\n")
+    assert np.shape(doc["payload"]["entries"]) == (64, 64)
+    table = (tmp_path / "mat.csv").read_bytes().decode("utf-8")
+    assert table.split("\n") == csv_from_payload(doc["payload"]).split("\n")
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["coeffs", "--phi", "poly:1", "--psi", "poly:0,1", "--basis", "haar", "--nmax", "8"],
+     ["experiment", "basis", "weights", "N", "quad", "trace", "entries"]),
+    (["theorem2", "--phi", "poly:1", "--psi", "poly:0,1", "--basis", "legendre", "--nmax", "8"],
+     ["experiment", "basis", "weights", "index_label", "N_values", "partial_sums", "target",
+      "errors", "tolerance", "converged", "metadata"]),
+], ids=["coeffs", "theorem2"])
+def test_env_times_the_run_and_the_writing_outside_the_payload(tmp_path, monkeypatch, argv, keys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("STRC_CACHE_DIR", raising=False)
+    docs = []
+    for out in ("a", "b"):
+        main(argv + ["--out", out])
+        docs.append(json.loads((tmp_path / f"{out}.json").read_text()))
+    for doc in docs:
+        assert list(doc["env"])[:2] == ["wall_time_ms", "write_time_ms"]
+        assert doc["env"]["wall_time_ms"] >= 0.0
+        assert doc["env"]["write_time_ms"] >= 0.0
+        assert list(doc["payload"]) == keys
+    assert docs[0]["payload"] == docs[1]["payload"]
+
+
+# -- report writer against a frozen copy of the previous one ----------------------
+
+
+def _frozen_cell(value) -> str:
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return repr(complex(value[0], value[1]))
+    return str(value)
+
+
+def _frozen_csv(payload: dict) -> str:
+    experiment = payload.get("experiment")
+    if experiment == "simulate":
+        columns = ("n_paths", "N", "mean", "variance", "ci95", "target_trace", "target_half_inner")
+        return (",".join(columns) + "\n"
+                + ",".join(_frozen_cell(payload[k]) for k in columns) + "\n")
+    if experiment == "coeffs":
+        lines = ["i,j,entry"]
+        for i, row in enumerate(payload["entries"]):
+            for j, entry in enumerate(row):
+                lines.append(f"{i},{j},{_frozen_cell(entry)}")
+        return "\n".join(lines) + "\n"
+    lines = [f"{payload['index_label']},partial_sum,target,error"]
+    target = _frozen_cell(payload["target"])
+    for n, s, e in zip(payload["N_values"], payload["partial_sums"], payload["errors"]):
+        lines.append(f"{_frozen_cell(n)},{_frozen_cell(s)},{target},{_frozen_cell(e)}")
+    return "\n".join(lines) + "\n"
+
+
+def _frozen_files(payload: dict, env: dict) -> tuple:
+    """The JSON and CSV text the writer gave before matrix rows were streamed."""
+    return json.dumps({"payload": payload, "env": env}, indent=2) + "\n", _frozen_csv(payload)
+
+
+_EDGE_FLOATS = (-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-300, -1e300, 1e300,
+                1.0, -3.0, 2.0 ** 53, 1e16, 0.1)
+_finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+_number = _finite | st.tuples(_finite, _finite).map(list)  # real, or complex as [re, im]
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 6, 10 ** 6) | _number | st.text(max_size=6)
+    | st.floats(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def _matrices(draw):
+    """Matrices of any shape up to 4x4, mostly finite real, sometimes holding a
+    non-finite entry, sometimes of integer or complex dtype."""
+    shape = draw(st.tuples(st.integers(0, 4), st.integers(0, 4)))
+    entries = draw(st.lists(_finite, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    matrix = np.array(entries, dtype=float).reshape(shape)
+    kind = draw(st.sampled_from(["real", "real", "real", "non-finite", "int", "complex"]))
+    if kind == "non-finite" and matrix.size:
+        matrix.flat[draw(st.integers(0, matrix.size - 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "int":
+        matrix = np.arange(matrix.size).reshape(shape) - 3
+    elif kind == "complex":
+        matrix = matrix + 1j * matrix[::-1]
+    return matrix
+
+
+def _plain(matrix: np.ndarray) -> list:
+    if np.iscomplexobj(matrix):
+        return [[[z.real, z.imag] for z in row] for row in matrix.tolist()]
+    return matrix.tolist()
+
+
+@st.composite
+def _coeffs_payloads(draw):
+    payload = {"experiment": "coeffs", "basis": draw(st.text(max_size=8)),
+               "weights": draw(st.lists(st.text(max_size=8), max_size=2)),
+               "N": draw(st.integers(0, 4)), "quad": "gl:p16:n8", "trace": draw(_finite),
+               "entries": draw(_matrices())}
+    if draw(st.booleans()):  # a key after the matrix
+        payload["metadata"] = draw(_json)
+    return payload
+
+
+@st.composite
+def _ladder_payloads(draw):
+    n = draw(st.integers(0, 4))
+    return {"experiment": draw(st.sampled_from(["theorem2", "kernel-trace"])),
+            "basis": draw(st.none() | st.text(max_size=8)),
+            "index_label": draw(st.sampled_from(["N", "epsilon", "basis_index"])),
+            "N_values": draw(st.lists(st.integers(1, 99) | _finite, min_size=n, max_size=n)),
+            "partial_sums": draw(st.lists(_number, min_size=n, max_size=n)),
+            "target": draw(_number),
+            "errors": draw(st.lists(_finite, min_size=n, max_size=n)),
+            "converged": draw(st.booleans()),
+            "metadata": draw(st.dictionaries(st.text(max_size=4), _json, max_size=3))}
+
+
+_simulate_payloads = st.fixed_dictionaries({
+    "experiment": st.just("simulate"), "n_paths": st.integers(2, 10 ** 6),
+    "N": st.integers(1, 64), "mean": _finite, "variance": _finite, "ci95": _finite,
+    "target_trace": _finite, "target_half_inner": _finite, "oracle_rms": st.none() | _finite,
+    "metadata": st.dictionaries(st.text(max_size=4), _json, max_size=2)})
+
+
+def _assert_written_as_before(payload: dict) -> None:
+    with tempfile.TemporaryDirectory() as directory:
+        prefix = str(Path(directory) / "report")
+        cli._write_outputs(prefix, payload, 1.5)
+        text = Path(prefix + ".json").read_text(encoding="utf-8")
+        table = Path(prefix + ".csv").read_bytes().decode("utf-8")
+    env = json.loads(text)["env"]
+    assert env["wall_time_ms"] == 1.5 and env["write_time_ms"] >= 0.0
+    plain = {**payload, "entries": _plain(payload["entries"])} if "entries" in payload else payload
+    assert (text, table) == _frozen_files(plain, env)
+    assert csv_from_payload(json.loads(text)["payload"]) == table
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_coeffs_payloads())
+@example(payload={"experiment": "coeffs", "basis": cli._GAP, "weights": [cli._GAP], "N": 1,
+                  "quad": "gl:p16:n8", "trace": 0.5, "entries": np.full((1, 1), 0.5),
+                  "metadata": {"entries": cli._GAP}})  # strings equal to the writer's gap
+def test_coeffs_report_files_are_byte_identical_to_the_previous_writer(payload):
+    _assert_written_as_before(payload)
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=_ladder_payloads() | _simulate_payloads)
+def test_other_report_files_are_byte_identical_to_the_previous_writer(payload):
+    _assert_written_as_before(payload)

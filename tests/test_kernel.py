@@ -199,6 +199,11 @@ def test_diagonal_trace_ladder_is_indexed_by_eps():
     assert len(report.partial_sums) == len(schedule)
 
 
+def test_diagonal_trace_rejects_an_empty_schedule():
+    with pytest.raises(ValueError, match="eps schedule is empty"):
+        diagonal_trace(MonomialMin(0, 1, UNIT), [])
+
+
 def test_box_averaging_is_exact_down_to_the_float_spacing():
     spec = MonomialMin(1, 1, UNIT)
     report = diagonal_trace(spec, default_eps_schedule(UNIT, 52, 52))
