@@ -7,8 +7,10 @@ t = tau.  `averaging` implements the zero-extension box average
 
     S_eps f(t, tau) = (1 / 4 eps^2) * int int over the eps-box around (t, tau)
 
+at a point or at arrays of points, with its own 2-D Gauss quadrature per box,
 and `diagonal_trace` integrates it along the diagonal for a decreasing eps
-schedule, extrapolating the limit.  `explicit_factor_pair` emits the pieces
+schedule, averaging all nodes of each eps rule in one call, and extrapolates
+the limit.  `explicit_factor_pair` emits the pieces
 (f1, f2, rank-one remainder) with f(t,tau) = int f1(t,xi) f2(xi,tau) dxi +
 remainder(t,tau), and `factorization_residual` checks that identity on a
 lattice with the xi-integral done numerically.
@@ -254,55 +256,98 @@ def _box_nodes(spec: Kernel, eps: float, base_nodes: int) -> int:
 def _check_eps(interval: Interval, eps: float) -> None:
     """Below the float spacing at the ends, t +- eps rounds back to t and the
     average divides a lost width by 4 eps^2."""
-    if not (eps > 0.0):
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (0.0 < eps < math.inf):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     spacing = math.ulp(max(abs(interval.t0), abs(interval.T)))
     if eps < spacing:
         raise ValueError(f"eps {eps:.3g} is below the float spacing {spacing:.3g} "
                          f"at the ends of {interval.id}")
 
 
-def averaging(spec: Kernel, eps: float, t: float, tau: float, nodes: int = 24):
-    """Box average of the zero-extended kernel over the eps-box around (t, tau)."""
+# values held at once by one `averaging` batch: points x outer panels x theta
+# nodes x strip nodes, the shape every strip segment evaluates the kernel on
+_AVERAGING_BLOCK_VALUES = 2 ** 13
+
+
+def _panels(lo, hi, cuts):
+    """Start and end arrays, shaped (rows, panels), of each row's [lo, hi]
+    split at the row's cuts (rows, k) that lie strictly inside it.
+
+    Other cuts move to hi before sorting, so each row's own panels come first
+    and its padding panels have zero width (`scaled_segments` gives them zero
+    weights, so they add an exact 0); a column empty in every row is dropped.
+    """
+    inside = (cuts > lo[:, None]) & (cuts < hi[:, None])
+    cuts = np.sort(np.where(inside, cuts, hi[:, None]), axis=1)
+    edges = np.column_stack([lo, cuts, hi])
+    return _nonempty(edges[:, :-1], edges[:, 1:])
+
+
+def _nonempty(a, b):
+    keep = np.any(b > a, axis=0)
+    return a[:, keep], b[:, keep]
+
+
+def averaging(spec: Kernel, eps: float, t, tau, nodes: int = 24):
+    """Box average of the zero-extended kernel over the eps-box around (t, tau).
+
+    `t` and `tau` may be arrays, broadcast together; the result has their
+    shape, or is a float (complex for complex kernels) for scalar points.
+    Every point is averaged with its own panels and the same summation order
+    whether it comes alone or in a batch, so its value does not depend on the
+    batch: `diagonal_trace` averages all nodes of an eps rule in one call.
+    """
     iv = spec.interval
     _check_eps(iv, eps)
-    th_lo, th_hi = max(iv.t0, t - eps), min(iv.T, t + eps)
-    vt_lo, vt_hi = max(iv.t0, tau - eps), min(iv.T, tau + eps)
-    zero = 0.0j if spec.is_complex else 0.0
-    if th_hi <= th_lo or vt_hi <= vt_lo:
-        return zero
+    t, tau = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(tau, dtype=float))
+    if not (np.isfinite(t).all() and np.isfinite(tau).all()):
+        raise ValueError("averaging needs finite points (t, tau)")
+    out = np.zeros(t.size, dtype=complex if spec.is_complex else float)
+    th_lo, th_hi = np.maximum(iv.t0, t - eps).ravel(), np.minimum(iv.T, t + eps).ravel()
+    vt_lo, vt_hi = np.maximum(iv.t0, tau - eps).ravel(), np.minimum(iv.T, tau + eps).ravel()
+    # boxes wholly outside the square average the zero extension: exactly 0
+    live = np.flatnonzero((th_lo < th_hi) & (vt_lo < vt_hi))
+    th_lo, th_hi, vt_lo, vt_hi = th_lo[live], th_hi[live], vt_lo[live], vt_hi[live]
 
     n = _box_nodes(spec, eps, nodes)
+    ref_x, ref_w = gauss_rule(n)
+    bps = spec.breakpoints
+    breakpoints = np.broadcast_to(bps, (len(live), len(bps)))
     # outer (theta) panels split where the diagonal enters/leaves the box and
     # at any kernel breakpoints, so every panel integrand is smooth
-    cuts = [th_lo, th_hi]
-    if spec.has_step:
-        cuts += [x for x in (vt_lo, vt_hi) if th_lo < x < th_hi]
-    cuts += [x for x in spec.breakpoints if th_lo < x < th_hi]
-    edges = np.unique(np.asarray(cuts, dtype=float))
+    steps = [vt_lo[:, None], vt_hi[:, None]] if spec.has_step else []
+    a_all, b_all = _panels(th_lo, th_hi, np.hstack(steps + [breakpoints]))
+    chunk = max(1, _AVERAGING_BLOCK_VALUES // max(1, a_all.shape[1] * n * n))
+    for start in range(0, len(live), chunk):
+        rows = slice(start, start + chunk)
+        a, b = _nonempty(a_all[rows], b_all[rows])
+        theta = (0.5 * (a + b))[..., None] + (0.5 * (b - a))[..., None] * ref_x
+        w_theta = (0.5 * (b - a))[..., None] * ref_w
+        inner = _inner_strip(spec, theta, vt_lo[rows], vt_hi[rows], breakpoints[rows], n)
+        panel_sums = np.sum(w_theta * inner, axis=-1)
+        # panel after panel, in ascending order, as a lone point adds them;
+        # np.sum over panels would sum pairwise and move the last bits
+        total = np.zeros(len(panel_sums), dtype=out.dtype)
+        for column in panel_sums.T:
+            total = total + column
+        out[live[rows]] = total / (4.0 * eps * eps)
+    if t.ndim == 0:
+        return complex(out[0]) if spec.is_complex else float(out[0])
+    return out.reshape(t.shape)
 
-    total = zero
-    ref_x, ref_w = gauss_rule(n)
-    for a, b in zip(edges[:-1], edges[1:]):
-        theta = 0.5 * (a + b) + 0.5 * (b - a) * ref_x
-        w_theta = 0.5 * (b - a) * ref_w
-        inner = _inner_strip(spec, theta, vt_lo, vt_hi, n)
-        total = total + np.sum(w_theta * inner)
-    return total / (4.0 * eps * eps)
 
-
-def _inner_strip(spec: Kernel, theta: np.ndarray, vt_lo: float, vt_hi: float, n: int):
-    """int_{vt_lo}^{vt_hi} f(theta_g, v) dv for a batch of theta nodes,
-    splitting at the diagonal v = theta_g and at kernel breakpoints."""
-    bounds = [vt_lo, vt_hi] + [x for x in spec.breakpoints if vt_lo < x < vt_hi]
-    bounds = np.unique(np.asarray(bounds, dtype=float))
-    dtype = complex if spec.is_complex else float
-    out = np.zeros(len(theta), dtype=dtype)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+def _inner_strip(spec: Kernel, theta: np.ndarray, vt_lo, vt_hi, breakpoints, n: int):
+    """int_{vt_lo}^{vt_hi} f(theta, v) dv for theta nodes shaped (points,
+    panels, nodes) and one strip per point, splitting at the diagonal
+    v = theta and at the point's kernel breakpoints."""
+    lo_all, hi_all = _panels(vt_lo, vt_hi, breakpoints)
+    out = np.zeros(theta.shape, dtype=complex if spec.is_complex else float)
+    for lo, hi in zip(lo_all.T, hi_all.T):
+        lo, hi = lo[:, None, None], hi[:, None, None]
         split = np.clip(theta, lo, hi)
         for seg_lo, seg_hi in ((lo, split), (split, hi)) if spec.has_step else ((lo, hi),):
             y, v = scaled_segments(seg_lo, seg_hi, n)
-            out = out + np.sum(v * spec.evaluate(theta[:, None], y), axis=1)
+            out = out + np.sum(v * spec.evaluate(theta[..., None], y), axis=-1)
     return out
 
 
@@ -340,15 +385,15 @@ def diagonal_trace(
         raise ValueError("eps schedule is empty: need at least one width")
     if any(b >= a for a, b in zip(eps_schedule[:-1], eps_schedule[1:])):
         raise ValueError("eps schedule must be strictly decreasing")
-    _check_eps(iv, eps_schedule[-1])  # the smallest, as the schedule decreases
+    for eps in eps_schedule:
+        _check_eps(iv, eps)
 
     target = _diagonal_integral(spec, quad)
     sums = []
     for eps in eps_schedule:
         rule = integrand_rule(iv, quad, (spec, spec), integrals=2,
                               breakpoints=[iv.t0 + eps, iv.T - eps])
-        vals = np.array([averaging(spec, eps, t, t) for t in rule.x])
-        s = rule.integrate(vals)
+        s = rule.integrate(averaging(spec, eps, rule.x, rule.x))
         sums.append(complex(s) if spec.is_complex else float(s))
 
     if len(sums) >= 2:

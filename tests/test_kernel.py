@@ -12,6 +12,8 @@ from stratrace import (
     MonomialMin,
     SeparableRankOne,
     SymmetrizedVolterra,
+    TabulatedWeight,
+    TrigSumWeight,
     VolterraProduct,
     averaging,
     default_eps_schedule,
@@ -19,7 +21,11 @@ from stratrace import (
     evaluate_kernel,
     explicit_factor_pair,
     factorization_residual,
+    gauss_rule,
+    integrand_rule,
 )
+from stratrace.kernel import _AVERAGING_BLOCK_VALUES, _box_nodes, _check_eps
+from stratrace.quadrature import DEFAULT_QUADRATURE, scaled_segments
 from stratrace.trace import inner_product
 
 from conftest import UNIT, poly
@@ -162,6 +168,35 @@ def test_complex_averaging_returns_complex():
     assert val == pytest.approx(np.exp(0.5j), abs=1e-2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_averaging_rejects_non_finite_input(bad):
+    spec = MonomialMin(0, 1, UNIT)
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        averaging(spec, bad, 0.5, 0.5)
+    with pytest.raises(ValueError, match="needs finite points"):
+        averaging(spec, 0.1, bad, 0.5)
+    with pytest.raises(ValueError, match="needs finite points"):
+        averaging(spec, 0.1, 0.5, bad)
+    with pytest.raises(ValueError, match="needs finite points"):
+        averaging(spec, 0.1, np.array([0.2, 0.5]), np.array([0.3, bad]))
+
+
+def test_scalar_points_average_to_python_scalars():
+    real = averaging(MonomialMin(0, 1, UNIT), 0.1, 0.5, 0.25)
+    outside = averaging(MonomialMin(0, 1, UNIT), 0.05, -0.2, 0.5)
+    assert type(real) is float and type(outside) is float and outside == 0.0
+    assert type(averaging(ComplexExponential(0, 1, UNIT), 0.1, 0.5, 0.25)) is complex
+    assert type(averaging(ComplexExponential(0, 1, UNIT), 0.05, 0.5, 1.3)) is complex
+
+
+def test_empty_batch_averages_to_an_empty_array():
+    empty = np.empty(0)
+    got = averaging(MonomialMin(0, 1, UNIT), 0.1, empty, empty)
+    assert got.shape == (0,) and got.dtype == float
+    got = averaging(ComplexExponential(0, 1, UNIT), 0.1, empty, 0.5)
+    assert got.shape == (0,) and got.dtype == complex
+
+
 # -- diagonal trace via shrinking boxes ----------------------------------------
 
 
@@ -231,6 +266,144 @@ def test_eps_schedule_validation():
         diagonal_trace(MonomialMin(0, 1, UNIT), [0.1, 0.2])
     with pytest.raises(ValueError):
         diagonal_trace(MonomialMin(0, 1, UNIT), [0.1, -0.05])
+
+
+@pytest.mark.parametrize("schedule", [[np.inf, 0.1], [np.nan, 0.1], [0.2, np.nan]])
+def test_diagonal_trace_rejects_a_non_finite_schedule_entry(schedule):
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        diagonal_trace(MonomialMin(0, 1, UNIT), schedule)
+
+
+# -- batched box averaging against the per-point oracle -------------------------
+
+
+def _oracle_averaging(spec, eps, t, tau, nodes=24):
+    """Box average of one point, frozen as it was when points came one at a
+    time; the batched `averaging` must reproduce it bit for bit."""
+    iv = spec.interval
+    _check_eps(iv, eps)
+    th_lo, th_hi = max(iv.t0, t - eps), min(iv.T, t + eps)
+    vt_lo, vt_hi = max(iv.t0, tau - eps), min(iv.T, tau + eps)
+    zero = 0.0j if spec.is_complex else 0.0
+    if th_hi <= th_lo or vt_hi <= vt_lo:
+        return zero
+
+    n = _box_nodes(spec, eps, nodes)
+    cuts = [th_lo, th_hi]
+    if spec.has_step:
+        cuts += [x for x in (vt_lo, vt_hi) if th_lo < x < th_hi]
+    cuts += [x for x in spec.breakpoints if th_lo < x < th_hi]
+    edges = np.unique(np.asarray(cuts, dtype=float))
+
+    total = zero
+    ref_x, ref_w = gauss_rule(n)
+    for a, b in zip(edges[:-1], edges[1:]):
+        theta = 0.5 * (a + b) + 0.5 * (b - a) * ref_x
+        w_theta = 0.5 * (b - a) * ref_w
+        inner = _oracle_inner_strip(spec, theta, vt_lo, vt_hi, n)
+        total = total + np.sum(w_theta * inner)
+    return total / (4.0 * eps * eps)
+
+
+def _oracle_inner_strip(spec, theta, vt_lo, vt_hi, n):
+    bounds = [vt_lo, vt_hi] + [x for x in spec.breakpoints if vt_lo < x < vt_hi]
+    bounds = np.unique(np.asarray(bounds, dtype=float))
+    dtype = complex if spec.is_complex else float
+    out = np.zeros(len(theta), dtype=dtype)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        split = np.clip(theta, lo, hi)
+        for seg_lo, seg_hi in ((lo, split), (split, hi)) if spec.has_step else ((lo, hi),):
+            y, v = scaled_segments(seg_lo, seg_hi, n)
+            out = out + np.sum(v * spec.evaluate(theta[:, None], y), axis=1)
+    return out
+
+
+def _oracle_grid(spec, eps, t, tau):
+    t, tau = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(tau, dtype=float))
+    return [_oracle_averaging(spec, eps, a, b) for a, b in zip(t.ravel(), tau.ravel())]
+
+
+_GRID = np.linspace(0.0, 1.0, 17)
+TABLE = TabulatedWeight(_GRID, np.cos(3.0 * _GRID) + _GRID**2, UNIT)
+TRIG = TrigSumWeight(((0, 0.0, 0.5), (1, 1.0, 0.25), (3, -0.5, 0.75)), UNIT)
+ORACLE_KERNELS = (
+    SymmetrizedVolterra(poly(1.0, -1.0, 0.0, 2.0), poly(0.5, 0.0, 1.0)),
+    SymmetrizedVolterra(TABLE, TEE),
+    SymmetrizedVolterra(TRIG, ONE),
+    MonomialMin(1, 2, UNIT),
+    MonomialMax(0, 1, UNIT),
+    ComplexExponential(1, 2, UNIT),
+    SeparableRankOne(TRIG, TABLE),
+)
+
+
+def _box_coordinates(eps):
+    """Coordinates whose eps-box lies inside the square, touches its edges,
+    leans out of it or lies wholly outside, plus the table's breakpoints."""
+    return st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 1.0, *TABLE.breakpoints]),
+        st.floats(-eps, 0.0),
+        st.floats(1.0, 1.0 + eps),
+        st.floats(-1.0, -eps),
+        st.floats(1.0 + eps, 2.0),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_batched_averaging_equals_the_per_point_oracle(data):
+    spec = data.draw(st.sampled_from(ORACLE_KERNELS), label="spec")
+    eps = data.draw(st.floats(1e-4, 0.6), label="eps")
+    coordinate = _box_coordinates(eps)
+    shape = data.draw(st.sampled_from(["scalar", "vector", "grid"]), label="shape")
+    if shape == "scalar":
+        t = data.draw(coordinate, label="t")
+        tau = data.draw(st.one_of(st.just(t), coordinate), label="tau")
+        got = averaging(spec, eps, t, tau)
+        assert type(got) is (complex if spec.is_complex else float)
+        assert got == _oracle_averaging(spec, eps, t, tau)
+        return
+    if shape == "vector":
+        t = np.array(data.draw(st.lists(coordinate, min_size=1, max_size=6), label="t"))
+        on_diagonal = data.draw(st.lists(st.booleans(), min_size=len(t), max_size=len(t)))
+        other = data.draw(st.lists(coordinate, min_size=len(t), max_size=len(t)), label="tau")
+        tau = np.where(on_diagonal, t, other)
+    else:
+        t = np.array(data.draw(st.lists(coordinate, min_size=1, max_size=3), label="t"))[:, None]
+        tau = np.array(data.draw(st.lists(coordinate, min_size=1, max_size=3), label="tau"))[None, :]
+    got = averaging(spec, eps, t, tau)
+    assert got.shape == np.broadcast(t, tau).shape
+    assert got.ravel().tolist() == _oracle_grid(spec, eps, t, tau)
+
+
+def test_a_batch_of_many_chunks_equals_the_oracle():
+    # a coarse table keeps the 2048 oracle calls quick
+    coarse = np.linspace(0.0, 1.0, 5)
+    spec = SymmetrizedVolterra(TabulatedWeight(coarse, np.cos(3.0 * coarse), UNIT), TEE)
+    eps = 0.125
+    t = np.linspace(-0.2, 1.2, 64)[:, None]
+    tau = np.linspace(-0.1, 1.1, 32)[None, :]
+    # a chunk holds at most this many points (of one panel each): 2048 points
+    # span over a hundred chunks
+    per_chunk = _AVERAGING_BLOCK_VALUES // _box_nodes(spec, eps, 24) ** 2
+    assert t.size * tau.size > 100 * per_chunk
+    got = averaging(spec, eps, t, tau)
+    assert got.ravel().tolist() == _oracle_grid(spec, eps, t, tau)
+
+
+@pytest.mark.parametrize("spec", [ORACLE_KERNELS[1], ORACLE_KERNELS[5]], ids=["table", "cexp"])
+def test_diagonal_trace_equals_the_oracle_ladder(spec):
+    schedule = default_eps_schedule(UNIT, 3, 6)
+    sums = []
+    for eps in schedule:
+        rule = integrand_rule(UNIT, DEFAULT_QUADRATURE, (spec, spec), integrals=2,
+                              breakpoints=[eps, 1.0 - eps])
+        sums.append(rule.integrate(np.array(_oracle_grid(spec, eps, rule.x, rule.x))))
+    e1, e2 = schedule[-2], schedule[-1]
+    report = diagonal_trace(spec, schedule)
+    assert report.partial_sums == sums
+    assert report.metadata["extrapolated"] == (e1 * sums[-1] - e2 * sums[-2]) / (e1 - e2)
 
 
 # -- explicit factorizations ---------------------------------------------------
