@@ -5,14 +5,16 @@ The central objects are the matrices
     G[i, j] = int_{t0}^{T} phi(t) q_i(t) (int_{t0}^{t} psi(s) q_j(s) ds) dt
 
 for a weight pair (phi, psi), their order-3 analogue for weight triples, and
-the same expansion for general two-variable kernels.  Every running primitive
-(and the mid-level running integral of the order-3 tensors) comes from
+the expansion matrices of the kernel kinds.  Every running primitive (and
+the mid-level running integral of the order-3 tensors) comes from
 `quadrature._running_integral` at the outer rule's own nodes: per-panel prefix
 sums plus a spectral integration matrix on each panel, so every entry is exact
 (up to roundoff) whenever the weights and basis make the integrands piecewise
 polynomial or resolved oscillations.
-The general-kernel route (`_kernel_tables`) keeps its own two-dimensional
-quadrature on purpose, as an independent check on that machinery.
+A kernel's matrix comes from the same engine: every kind is built from two
+factor weights (a, b), so its matrix is G(a, b), G + G^T, or an outer product
+of two `weight_basis_inner` vectors.  The test suite keeps a two-dimensional
+kernel quadrature as the independent check on that route.
 
 Matrices and tensors can be cached on disk in a small binary format keyed by
 a content hash; see `matrix_key`, `cache_store`, `cache_load`.
@@ -35,13 +37,8 @@ from .quadrature import (
     QuadratureConfig,
     _running_integral,
     integrand_rule,
-    nodes_for,
-    scaled_segments,
 )
 from .weights import WeightFunction
-
-# cap on the number of points evaluated in one basis-block call
-_CHUNK_POINTS = 32768
 
 __all__ = [
     "CoefficientMatrix",
@@ -217,51 +214,30 @@ def weight_basis_inner(
 
 
 # ---------------------------------------------------------------------------
-# general kernel coefficients (two-dimensional quadrature over the square)
+# kernel expansion matrices from the kernel's factor weights
 
 
-def _kernel_tables(spec: Kernel, basis: OrthonormalBasis, count: int, quad: QuadratureConfig):
-    """Outer rule plus Inner[g, j] = int_{t0}^{T} f(x_g, tau) q_j(tau) dtau.
-
-    The inner integral is split at the diagonal tau = x_g and at every static
-    breakpoint, so each Gauss segment sees a smooth integrand.  This route
-    never uses the one-sided factorized form, which keeps it an independent
-    check on the running-primitive engine.
-    """
+def _kernel_entries(spec: Kernel, basis: OrthonormalBasis, count: int,
+                    quad: QuadratureConfig, diagonal: bool) -> np.ndarray:
+    """K, or its diagonal, for a kernel with factor weights (a, b): G(a, b)
+    when one-sided, G + G^T when mirrored (the mirror term a(tau) b(t)
+    1(tau - t) expands to G^T), and the outer product of (a, q_i) and
+    (b, q_j) when stepless."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if spec.interval != basis.interval:
         raise ValueError(f"kernel lives on {spec.interval.id}, basis on {basis.interval.id}")
-    iv = spec.interval
-    q = basis.factor(count)
-    rule = integrand_rule(iv, quad, (spec, q, spec, q), integrals=1)
-    breaks = np.union1d(spec.breakpoints, q.breakpoints)
-    ladder = np.concatenate([[iv.t0], breaks[(breaks > iv.t0) & (breaks < iv.T)], [iv.T]])
-    # segments lie inside one panel: scale the sweep to the widest panel
-    frac = np.diff(rule.edges).max() / (iv.T - iv.t0)
-    phase = spec.phase + q.phase
-    n_in = nodes_for(quad, spec.degree + q.degree, phase * frac if phase > 0.0 else 0.0)
-
-    dtype = complex if spec.is_complex else float
-    inner = np.zeros((len(rule.x), count), dtype=dtype)
-    rows = max(1, _CHUNK_POINTS // n_in)
-    for lo in range(0, len(rule.x), rows):
-        hi = min(lo + rows, len(rule.x))
-        x = rule.x[lo:hi]
-        acc = np.zeros((len(x), count), dtype=dtype)
-        for a, b in zip(ladder[:-1], ladder[1:]):
-            # cell [a, b] clipped to [t0, x_g] (below the diagonal) ...
-            for seg_lo, seg_hi in (
-                (np.minimum(a, x), np.minimum(b, x)),
-                # ... and clipped to [x_g, T] (above it)
-                (np.maximum(a, x), np.maximum(b, x)),
-            ):
-                y, v = scaled_segments(seg_lo, seg_hi, n_in)
-                q = basis.evaluate_block(y.ravel(), count).reshape(y.shape + (count,))
-                f = spec.evaluate(x[:, None], y)
-                acc += np.einsum("gm,gm,gmj->gj", v, f, q)
-        inner[lo:hi] = acc
-    return rule, inner
+    a, b = spec.weights
+    if not spec.has_step:
+        u = weight_basis_inner(a, basis, count, quad)
+        v = weight_basis_inner(b, basis, count, quad)
+        return u * v if diagonal else np.outer(u, v)
+    left, b_run = _volterra_tables(a, b, basis, count, quad)
+    if diagonal:
+        g = np.einsum("gi,gi->i", left, b_run)
+        return 2.0 * g if spec.mirrored else g
+    g = left.T @ b_run
+    return g + g.T if spec.mirrored else g
 
 
 def kernel_matrix(
@@ -271,9 +247,7 @@ def kernel_matrix(
     quad: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> CoefficientMatrix:
     """Expansion matrix K[i, j] = int int f(t, tau) q_i(t) q_j(tau) dtau dt."""
-    rule, inner = _kernel_tables(spec, basis, count, quad)
-    q_out = basis.evaluate_block(rule.x, count)
-    entries = (rule.w[:, None] * q_out).T @ inner
+    entries = _kernel_entries(spec, basis, count, quad, diagonal=False)
     return _result(CoefficientMatrix, entries, basis, (spec.id,), quad)
 
 
@@ -284,9 +258,7 @@ def kernel_diagonal(
     quad: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> np.ndarray:
     """The diagonal K[i, i] for i < count."""
-    rule, inner = _kernel_tables(spec, basis, count, quad)
-    q_out = basis.evaluate_block(rule.x, count)
-    return np.einsum("g,gi,gi->i", rule.w, q_out, inner)
+    return _kernel_entries(spec, basis, count, quad, diagonal=True)
 
 
 def kernel_coefficient(

@@ -1,9 +1,12 @@
 """Volterra-type kernels on the square, their box averaging, and the
 closed-form factorizations that certify them as trace class.
 
-Every kernel kind evaluates pointwise with the unit step taking the value 1/2
-on the diagonal, so symmetrized kinds agree with their two-sided definition at
-t = tau.  `averaging` implements the zero-extension box average
+Every kernel kind is data: two factor weights (a, b) and a shape, one-sided
+a(t) b(tau) 1(t - tau), mirrored (plus a(tau) b(t) 1(tau - t)) or stepless
+a(t) b(tau).  `coeffs` expands a kind from its weights alone, and
+`Kernel.evaluate` is written once for all of them, with the unit step taking
+the value 1/2 on the diagonal, so mirrored kinds agree with their two-sided
+definition at t = tau.  `averaging` implements the zero-extension box average
 
     S_eps f(t, tau) = (1 / 4 eps^2) * int int over the eps-box around (t, tau)
 
@@ -59,25 +62,51 @@ def _step(x):
 
 
 class Kernel:
+    """A kernel kind on the square over `interval`, built from its two factor
+    weights (a, b) = `weights` in one of three shapes:
+
+        one-sided  a(t) b(tau) 1(t - tau)
+        mirrored   a(t) b(tau) 1(t - tau) + a(tau) b(t) 1(tau - t)
+        stepless   a(t) b(tau)
+
+    `has_step` and `mirrored` name the shape.  The expansion engine reads
+    (a, b) and the shape; the box average and the diagonal integral read
+    `evaluate` and the quadrature demand, one integrand factor per variable.
+    """
+
     interval: Interval
     has_step: bool = True
+    mirrored: bool = False
     is_complex: bool = False
 
-    def evaluate(self, t, tau):
+    @property
+    def weights(self) -> tuple:
         raise NotImplementedError
 
-    # quadrature demand per variable: one integrand factor in t, one in tau
+    def evaluate(self, t, tau):
+        t = np.asarray(t, dtype=float)
+        tau = np.asarray(tau, dtype=float)
+        a, b = self.weights
+        if not self.has_step:
+            return a(t) * b(tau)
+        s = _step(t - tau)
+        if not self.mirrored:
+            return a(t) * b(tau) * s
+        return a(t) * b(tau) * s + a(tau) * b(t) * (1.0 - s)
+
+    # quadrature demand per variable: the worse of the two factor weights
     @property
     def degree(self) -> int:
-        return 0
+        return max(w.degree for w in self.weights)
 
     @property
     def phase(self) -> float:
-        return 0.0
+        return max(w.phase for w in self.weights)
 
     @property
     def breakpoints(self) -> np.ndarray:
-        return np.empty(0)
+        a, b = self.weights
+        return np.union1d(a.breakpoints, b.breakpoints)
 
     @property
     def id(self) -> str:
@@ -85,10 +114,50 @@ class Kernel:
 
 
 @dataclass(frozen=True)
+class _Power(WeightFunction):
+    """t^k, a factor weight of the monomial kinds."""
+
+    k: int
+    interval: Interval
+
+    def __call__(self, t):
+        return np.asarray(t, dtype=float) ** self.k
+
+    @property
+    def degree(self):
+        return self.k
+
+    @property
+    def id(self):
+        return f"power:{self.k}"
+
+
+@dataclass(frozen=True)
+class _Cexp(WeightFunction):
+    """exp(i n t), a factor weight of the complex exponential kind.  Its
+    frequency n need not be a multiple of 2 pi / L, so a `TrigSumWeight`
+    cannot stand in for it."""
+
+    n: int
+    interval: Interval
+
+    def __call__(self, t):
+        return np.exp(1j * self.n * np.asarray(t, dtype=float))
+
+    @property
+    def phase(self):
+        return abs(self.n) * self.interval.length
+
+    @property
+    def id(self):
+        return f"cexp:{self.n}"
+
+
+@dataclass(frozen=True)
 class _WeightPair(Kernel):
-    """A kernel built from two weight functions on a common interval; the
-    quadrature demand is the weights' worst.  Kinds differ in `evaluate` and
-    in the `_name` their id carries."""
+    """A kernel whose factor weights are two weight functions on a common
+    interval.  Kinds differ in their shape and in the `_name` their id
+    carries."""
 
     phi: WeightFunction
     psi: WeightFunction
@@ -99,30 +168,12 @@ class _WeightPair(Kernel):
         object.__setattr__(self, "interval", self.phi.interval)
 
     @property
-    def degree(self):
-        return max(self.phi.degree, self.psi.degree)
-
-    @property
-    def phase(self):
-        return max(self.phi.phase, self.psi.phase)
-
-    @property
-    def breakpoints(self):
-        return np.union1d(self.phi.breakpoints, self.psi.breakpoints)
+    def weights(self):
+        return self.phi, self.psi
 
     @property
     def id(self):
         return f"{self._name}({self.phi.id};{self.psi.id})"
-
-
-class _TwoSided(Kernel):
-    """lower(t, tau) 1(t - tau) + upper(t, tau) 1(tau - t)."""
-
-    def evaluate(self, t, tau):
-        t = np.asarray(t, dtype=float)
-        tau = np.asarray(tau, dtype=float)
-        s = _step(t - tau)
-        return self._lower(t, tau) * s + self._upper(t, tau) * (1.0 - s)
 
 
 class VolterraProduct(_WeightPair):
@@ -130,22 +181,12 @@ class VolterraProduct(_WeightPair):
 
     _name = "volterra"
 
-    def evaluate(self, t, tau):
-        t = np.asarray(t, dtype=float)
-        tau = np.asarray(tau, dtype=float)
-        return self.phi(t) * self.psi(tau) * _step(t - tau)
 
-
-class SymmetrizedVolterra(_WeightPair, _TwoSided):
+class SymmetrizedVolterra(_WeightPair):
     """phi(t) psi(tau) 1(t - tau) + psi(t) phi(tau) 1(tau - t)."""
 
     _name = "symmetrized"
-
-    def _lower(self, t, tau):
-        return self.phi(t) * self.psi(tau)
-
-    def _upper(self, t, tau):
-        return self.psi(t) * self.phi(tau)
+    mirrored = True
 
 
 class SeparableRankOne(_WeightPair):
@@ -154,31 +195,36 @@ class SeparableRankOne(_WeightPair):
     _name = "rank_one"
     has_step = False
 
-    def evaluate(self, t, tau):
-        t = np.asarray(t, dtype=float)
-        tau = np.asarray(tau, dtype=float)
-        return self.phi(t) * self.psi(tau)
-
 
 @dataclass(frozen=True)
-class _Monomial(_TwoSided):
-    """Integer exponents n >= 0, m >= 1 on an interval."""
+class _IntegerPair(Kernel):
+    """A mirrored kind with integer parameters n, m on an interval."""
 
     n: int
     m: int
     interval: Interval
+    mirrored = True
 
     def __post_init__(self):
-        if self.n < 0 or self.m < 1:
-            raise ValueError("monomial kernel needs n >= 0 and m >= 1")
-
-    @property
-    def degree(self):
-        return self.m + self.n
+        for name in ("n", "m"):
+            value = getattr(self, name)
+            # a bool is an int to Python, but no exponent or frequency
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
     @property
     def id(self):
         return f"{self._name}(n={self.n},m={self.m})"
+
+
+class _Monomial(_IntegerPair):
+    """Integer exponents n >= 0, m >= 1."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n < 0 or self.m < 1:
+            raise ValueError("monomial kernel needs n >= 0 and m >= 1")
 
 
 class MonomialMin(_Monomial):
@@ -187,11 +233,9 @@ class MonomialMin(_Monomial):
 
     _name = "monomial_min"
 
-    def _lower(self, t, tau):
-        return t**self.n * tau ** (self.m + self.n)
-
-    def _upper(self, t, tau):
-        return tau**self.n * t ** (self.m + self.n)
+    @property
+    def weights(self):
+        return _Power(self.n, self.interval), _Power(self.m + self.n, self.interval)
 
 
 class MonomialMax(_Monomial):
@@ -200,40 +244,32 @@ class MonomialMax(_Monomial):
 
     _name = "monomial_max"
 
-    def _lower(self, t, tau):
-        return t ** (self.m + self.n) * tau**self.n
-
-    def _upper(self, t, tau):
-        return tau ** (self.m + self.n) * t**self.n
+    @property
+    def weights(self):
+        return _Power(self.m + self.n, self.interval), _Power(self.n, self.interval)
 
 
-@dataclass(frozen=True)
-class ComplexExponential(_TwoSided):
+class ComplexExponential(_IntegerPair):
     """exp(i n t) exp(i m tau) 1(t - tau) + exp(i n tau) exp(i m t) 1(tau - t),
     integer n, nonzero integer m."""
 
-    n: int
-    m: int
-    interval: Interval
+    _name = "complex_exp"
     is_complex = True
 
     def __post_init__(self):
+        super().__post_init__()
         if self.m == 0:
             raise ValueError("complex exponential kernel needs m != 0")
 
-    def _lower(self, t, tau):
-        return np.exp(1j * self.n * t) * np.exp(1j * self.m * tau)
+    @property
+    def weights(self):
+        return _Cexp(self.n, self.interval), _Cexp(self.m, self.interval)
 
-    def _upper(self, t, tau):
-        return np.exp(1j * self.n * tau) * np.exp(1j * self.m * t)
-
+    # both sweeps added, above the default maximum, so that the box-averaging
+    # and diagonal rules keep their node counts
     @property
     def phase(self):
         return (abs(self.n) + abs(self.m)) * self.interval.length
-
-    @property
-    def id(self):
-        return f"complex_exp(n={self.n},m={self.m})"
 
 
 def evaluate_kernel(spec: Kernel, t, tau):

@@ -23,16 +23,7 @@ from .coeffs import (
     kernel_diagonal,
     volterra_diagonal,
 )
-from .kernel import (
-    ComplexExponential,
-    Kernel,
-    MonomialMax,
-    MonomialMin,
-    SeparableRankOne,
-    SymmetrizedVolterra,
-    _diagonal_integral,
-    diagonal_trace,
-)
+from .kernel import Kernel, _diagonal_integral, diagonal_trace
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, _running_integral, integrand_rule
 from .reports import TraceReport
 from .weights import PolynomialWeight, WeightFunction
@@ -77,15 +68,6 @@ def verify_volterra_trace(
     return TraceReport.ladder("volterra-trace", basis.id, (phi.id, psi.id), sums, target, tol)
 
 
-_CERTIFIED_KINDS = (
-    SymmetrizedVolterra,
-    MonomialMin,
-    MonomialMax,
-    ComplexExponential,
-    SeparableRankOne,
-)
-
-
 def verify_kernel_trace(
     spec: Kernel,
     basis: OrthonormalBasis,
@@ -100,7 +82,7 @@ def verify_kernel_trace(
     finite rank) are accepted; the one-sided product kernel is rejected, its
     statement lives in `verify_volterra_trace`.
     """
-    if not isinstance(spec, _CERTIFIED_KINDS):
+    if spec.has_step and not spec.mirrored:
         raise ValueError(
             f"kernel kind {type(spec).__name__} is not certified trace class; "
             "symmetrized and finite-rank kinds are"

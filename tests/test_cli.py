@@ -21,12 +21,14 @@ from stratrace import (
     SeparableRankOne,
     SymmetrizedVolterra,
     VolterraProduct,
+    inner_product,
+    weight_basis_inner,
 )
 from stratrace import cli
 from stratrace import coeffs as coeffs_module
 from stratrace.cli import csv_from_payload, main, parse_kernel, parse_weight
 
-from conftest import UNIT, poly
+from conftest import UNIT, make_basis, poly
 
 ONE = poly(1.0)
 
@@ -301,6 +303,21 @@ def test_non_finite_input_exits_one_naming_the_field(tmp_path, monkeypatch, caps
     assert err.startswith(f"stratrace: error: {field}: ")
     assert "finite" in err
     assert not (tmp_path / "bad.json").exists()
+
+
+def test_fourier_symmetrized_kernel_trace_leaves_only_the_parseval_tail(tmp_path, monkeypatch):
+    # with phi = psi the expansion diagonal sums to sum_{i<N} (phi, q_i)^2,
+    # so the final error is the tail int phi^2 - that sum (about 2.5e-4)
+    monkeypatch.chdir(tmp_path)
+    weight = "poly:0.3,-0.7,0.2,0.9"
+    code = main(["kernel-trace", "--kernel", "sym", "--phi", weight, "--psi", weight,
+                 "--basis", "fourier", "--nmax", "64", "--out", "fsym"])
+    assert code == 0
+    payload = json.loads((tmp_path / "fsym.json").read_text())["payload"]
+    p3 = parse_weight(weight, UNIT)
+    tail = inner_product(p3, p3) - np.sum(weight_basis_inner(p3, make_basis("fourier", 64), 64) ** 2)
+    assert 1e-4 < tail < 1e-3
+    assert payload["errors"][-1] == pytest.approx(tail, abs=1e-13)
 
 
 def test_eps_below_the_float_spacing_exits_one(tmp_path, monkeypatch, capsys):

@@ -1,8 +1,8 @@
 """Expansion coefficients: closed forms, independent quadrature oracles, cache.
 
 The independent oracles here never touch the running-primitive engine:
-scipy's adaptive dblquad, exact rational polynomial algebra, and frozen
-analytic diagonals.
+scipy's adaptive dblquad, exact rational polynomial algebra, frozen analytic
+diagonals, and a frozen two-dimensional Gauss quadrature of kernels.
 """
 
 import math
@@ -19,9 +19,14 @@ from stratrace import (
     CacheKeyError,
     ComplexExponential,
     Interval,
+    MonomialMax,
     MonomialMin,
     QuadratureConfig,
+    SeparableRankOne,
     SymmetrizedVolterra,
+    TabulatedWeight,
+    TrigSumWeight,
+    VolterraProduct,
     cache_load,
     cache_store,
     cached_coefficient_matrix,
@@ -39,12 +44,17 @@ from stratrace import (
 )
 from stratrace import coeffs as coeffs_module
 from stratrace.coeffs import cache_path
+from stratrace.quadrature import DEFAULT_QUADRATURE, integrand_rule, nodes_for, scaled_segments
 
 from conftest import UNIT, make_basis, poly
 
 ONE = poly(1.0)
 TEE = poly(0.0, 1.0)
 TSQ = poly(0.0, 0.0, 1.0)
+P3 = poly(0.3, -0.7, 0.2, 0.9)
+_GRID = np.linspace(0.0, 1.0, 17)
+TABLE = TabulatedWeight(_GRID, np.cos(3.0 * _GRID) + _GRID**2, UNIT)
+TRIG = TrigSumWeight(((0, 0.0, 0.5), (1, 1.0, 0.25), (3, -0.5, 0.75)), UNIT)
 
 
 # -- single entries against closed forms ---------------------------------------
@@ -229,6 +239,87 @@ def test_complex_kernel_entries_are_complex_and_hermitian_symmetric():
     # quadrature loses ~1e-9 on the diagonal kink, so pin the closed form
     oracle_00 = 2.0 * (1.0 - np.cos(1.0))
     assert f.entries[0, 0].real == pytest.approx(oracle_00, abs=1e-12)
+
+
+def _oracle_kernel_tables(spec, basis, count, quad=DEFAULT_QUADRATURE):
+    """Outer rule plus Inner[g, j] = int f(x_g, tau) q_j(tau) dtau by Gauss
+    quadrature over the square, from kernel values alone: it never sees the
+    kernel's factor weights.  Frozen from the library's former kernel route,
+    with the inner ladder split at the outer rule's panel edges (which hold
+    every breakpoint) as well as at the diagonal, so each inner segment lies
+    in one panel and the one-panel oscillation demand holds for it."""
+    iv = spec.interval
+    q = basis.factor(count)
+    rule = integrand_rule(iv, quad, (spec, q, spec, q), integrals=1)
+    frac = np.diff(rule.edges).max() / iv.length
+    n_in = nodes_for(quad, spec.degree + q.degree, (spec.phase + q.phase) * frac)
+    x = rule.x
+    inner = np.zeros((len(x), count), dtype=complex if spec.is_complex else float)
+    for a, b in zip(rule.edges[:-1], rule.edges[1:]):
+        # the panel clipped to [t0, x_g] (below the diagonal) and to [x_g, T]
+        for lo, hi in ((np.minimum(a, x), np.minimum(b, x)), (np.maximum(a, x), np.maximum(b, x))):
+            y, v = scaled_segments(lo, hi, n_in)
+            qy = basis.evaluate_block(y.ravel(), count).reshape(y.shape + (count,))
+            inner += np.einsum("gm,gm,gmj->gj", v, spec.evaluate(x[:, None], y), qy)
+    return rule, inner
+
+
+def _oracle_kernel_matrix(spec, basis, count):
+    rule, inner = _oracle_kernel_tables(spec, basis, count)
+    return (rule.w[:, None] * basis.evaluate_block(rule.x, count)).T @ inner
+
+
+ORACLE_KERNELS = (
+    VolterraProduct(TABLE, P3),
+    SymmetrizedVolterra(P3, TRIG),
+    SymmetrizedVolterra(TABLE, TEE),
+    SeparableRankOne(TRIG, TABLE),
+    MonomialMin(1, 2, UNIT),
+    MonomialMax(2, 1, UNIT),
+    ComplexExponential(1, 3, UNIT),
+    ComplexExponential(-2, -1, UNIT),
+)
+
+
+@pytest.mark.parametrize("family, count", [("legendre", 9), ("fourier", 9), ("haar", 16)])
+@pytest.mark.parametrize("spec", ORACLE_KERNELS, ids=lambda spec: spec.id)
+def test_kernel_matrix_against_the_two_dimensional_oracle(spec, family, count):
+    basis = make_basis(family, count)
+    oracle = _oracle_kernel_matrix(spec, basis, count)
+    matrix = kernel_matrix(spec, basis, count).entries
+    assert np.iscomplexobj(matrix) == spec.is_complex
+    assert np.max(np.abs(matrix - oracle)) <= 1e-13
+    assert np.max(np.abs(kernel_diagonal(spec, basis, count) - np.diag(oracle))) <= 1e-13
+
+
+@pytest.mark.parametrize("spec", [MonomialMin(2, 1, Interval(-1.0, 2.0)),
+                                  MonomialMax(0, 3, Interval(-1.0, 2.0))], ids=lambda s: s.id)
+def test_monomial_kernel_matrix_off_the_unit_interval(spec):
+    basis = make_basis("legendre", 6, spec.interval)
+    oracle = _oracle_kernel_matrix(spec, basis, 6)
+    assert np.max(np.abs(kernel_matrix(spec, basis, 6).entries - oracle)) <= 1e-12
+
+
+def test_fourier_symmetrized_diagonal_is_the_squared_inner_product():
+    # equal weights: K = G + G^T with 2 G_ii = (phi, q_i)^2 in any basis
+    fou = make_basis("fourier", 64)
+    diag = kernel_diagonal(SymmetrizedVolterra(P3, P3), fou, 64)
+    assert np.max(np.abs(diag - weight_basis_inner(P3, fou, 64) ** 2)) <= 1e-13
+
+
+def test_fourier_rank_one_diagonal_is_the_product_of_inner_products():
+    fou = make_basis("fourier", 33)
+    diag = kernel_diagonal(SeparableRankOne(P3, TRIG), fou, 33)
+    product = weight_basis_inner(P3, fou, 33) * weight_basis_inner(TRIG, fou, 33)
+    assert np.max(np.abs(diag - product)) <= 1e-13
+
+
+def test_kernel_checks_count_and_interval():
+    leg = make_basis("legendre", 4)
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        kernel_diagonal(MonomialMin(0, 1, UNIT), leg, 0)
+    with pytest.raises(ValueError, match="kernel lives on"):
+        kernel_matrix(ComplexExponential(1, 2, Interval(0.0, 2.0)), leg, 4)
 
 
 # -- order-3 tensors -------------------------------------------------------------

@@ -17,6 +17,7 @@ from stratrace import (
     MonomialMax,
     MonomialMin,
     QuadratureConfig,
+    SeparableRankOne,
     SymmetrizedVolterra,
     TabulatedWeight,
     TrigSumWeight,
@@ -106,13 +107,18 @@ def test_weight_basis_inner_demand(rules, w, family, count, expected):
     _check(rules, lambda: weight_basis_inner(w, make_basis(family, count), count, PIN), expected)
 
 
+# a kernel's rules are those of its factor weights (a, b): one
+# `_volterra_tables` rule for a stepped kind, two `weight_basis_inner` rules
+# (a, then b) for the stepless one
 @pytest.mark.parametrize("spec, family, count, expected", [
     (SymmetrizedVolterra(P3, P2), "legendre", 4, [(7, ())]),
     (MonomialMax(2, 1, UNIT), "haar", 8, [(4, HAAR8)]),
     (ComplexExponential(1, 3, UNIT), "fourier", 3, [(19, ())]),
-    (SymmetrizedVolterra(TAB, TRIG), "legendre", 3, [(23, TAB_BREAKS)]),
+    (SymmetrizedVolterra(TAB, TRIG), "legendre", 3, [(21, TAB_BREAKS)]),
+    (SeparableRankOne(TRIG, TAB), "fourier", 5, [(20, ()), (18, TAB_BREAKS)]),
+    (ComplexExponential(7, -9, UNIT), "legendre", 3, [(21, ())]),
 ])
-def test_kernel_tables_demand(rules, spec, family, count, expected):
+def test_kernel_matrix_demand(rules, spec, family, count, expected):
     _check(rules, lambda: kernel_diagonal(spec, make_basis(family, count), count, PIN), expected)
 
 

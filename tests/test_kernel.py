@@ -92,6 +92,27 @@ def test_kernel_parameter_validation():
         ComplexExponential(1, 0, UNIT)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: MonomialMin(0.5, 1, Interval(-1.0, 1.0)), "n"),
+    (lambda: MonomialMax(1, 2.0, UNIT), "m"),
+    (lambda: MonomialMin(True, 1, UNIT), "n"),
+    (lambda: MonomialMax(0, False, UNIT), "m"),
+    (lambda: ComplexExponential(0.5, 1.5, UNIT), "n"),
+    (lambda: ComplexExponential(1, 1.5, UNIT), "m"),
+    (lambda: ComplexExponential(np.True_, 1, UNIT), "n"),
+])
+def test_kernel_exponents_must_be_integers(make, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        make()
+
+
+def test_numpy_integer_exponents_are_plain_integers():
+    spec = MonomialMin(np.int64(1), np.int32(2), UNIT)
+    assert spec.id == "monomial_min(n=1,m=2)"
+    assert type(spec.n) is int and type(spec.m) is int
+    assert ComplexExponential(np.int64(-1), 2, UNIT) == ComplexExponential(-1, 2, UNIT)
+
+
 @settings(max_examples=40, deadline=None)
 @given(t=st.floats(0.0, 1.0), tau=st.floats(0.0, 1.0))
 def test_two_sided_kernels_are_symmetric(t, tau):
