@@ -27,7 +27,6 @@ from .coeffs import (
     kernel_matrix,
     matrix_key,
     tensor_coefficients,
-    tensor_key,
     volterra_diagonal,
     volterra_norm_sq,
     weight_basis_inner,
@@ -58,13 +57,8 @@ from .quadrature import (
 )
 from .reports import MCReport, TraceReport, jsonable
 from .stochastic import (
-    GaussianDraw,
     brownian_midpoint_oracle,
-    build_truncated_path,
-    gaussian_draw,
-    ito_from_stratonovich,
     mc_campaign,
-    simulate_stratonovich_pair,
     smooth_path_oracle,
 )
 from .trace import (

@@ -44,7 +44,7 @@ from .kernel import (
     VolterraProduct,
     default_eps_schedule,
 )
-from .quadrature import QuadratureConfig, QuadratureError
+from .quadrature import QuadratureError
 from .reports import TraceReport, jsonable
 from .stochastic import brownian_midpoint_oracle, mc_campaign
 from .trace import (
@@ -144,7 +144,7 @@ def parse_kernel(text: str, interval: Interval, phi=None, psi=None):
 
 # smallest allowed value of each bounded integer field
 _MINIMA = {"nmax": 1, "n_reduced": 1, "paths": 2, "seed": 0, "workers": 1, "oracle_draws": 0,
-           "oracle_mesh": 1, "mesh": 1, "panels": 1, "nodes": 1}
+           "oracle_mesh": 1, "mesh": 1}
 # allowed values of each enumerated field, also offered as the flags' choices
 _CHOICES = {"pair": ("12", "23", "13"), "scheme": ("expansion", "brownian")}
 
@@ -181,8 +181,6 @@ class ExperimentConfig:
     oracle_mesh: int = 2048
     scheme: str = "expansion"
     mesh: int = 2 ** 14
-    panels: int = 16
-    nodes: int = 8
     cache_dir: str | None = None
     out: str | None = None
 
@@ -217,10 +215,6 @@ class ExperimentConfig:
     @property
     def interval(self) -> Interval:
         return Interval(self.t0, self.T)
-
-    @property
-    def quadrature(self) -> QuadratureConfig:
-        return QuadratureConfig(panels=self.panels, nodes_per_panel=self.nodes)
 
     def weight(self, field_name: str):
         text = getattr(self, field_name)
@@ -415,15 +409,13 @@ def _write_outputs(out_prefix: str, payload: dict, wall_ms: float) -> None:
 
 def _coeffs(c: ExperimentConfig):
     matrix = cached_coefficient_matrix(
-        c.weight("phi"), c.weight("psi"), c.make_basis(), c.nmax, c.quadrature,
-        directory=c.cache_dir,
+        c.weight("phi"), c.weight("psi"), c.make_basis(), c.nmax, directory=c.cache_dir,
     )
     return {
         "experiment": "coeffs",
         "basis": matrix.basis_id,
         "weights": list(matrix.weight_ids),
         "N": matrix.count,
-        "quad": matrix.quad_fingerprint,
         "trace": matrix.trace,
         "entries": matrix.entries,
     }, True
@@ -431,39 +423,39 @@ def _coeffs(c: ExperimentConfig):
 
 def _theorem2(c: ExperimentConfig):
     return verify_volterra_trace(
-        c.weight("phi"), c.weight("psi"), c.make_basis(), c.nmax, c.quadrature, tol=c.tol)
+        c.weight("phi"), c.weight("psi"), c.make_basis(), c.nmax, tol=c.tol)
 
 
 def _theorem1(c: ExperimentConfig):
     spec = c.make_kernel()
     schedule = default_eps_schedule(c.interval, c.eps_kmin, c.eps_kmax)
-    return two_route_kernel_trace(spec, c.make_basis(), c.nmax, schedule, c.quadrature, tol=c.tol)
+    return two_route_kernel_trace(spec, c.make_basis(), c.nmax, schedule, tol=c.tol)
 
 
 def _eq7(c: ExperimentConfig):
     return verify_symmetric_pair_sum(
-        c.weight("phi"), c.weight("psi"), c.make_basis(), c.nmax, c.quadrature, tol=c.tol)
+        c.weight("phi"), c.weight("psi"), c.make_basis(), c.nmax, tol=c.tol)
 
 
 def _basis_independence(c: ExperimentConfig):
     return basis_independence(
-        c.weight("phi"), c.weight("psi"), c.basis_list(), c.nmax, c.quadrature, tol=c.tol)
+        c.weight("phi"), c.weight("psi"), c.basis_list(), c.nmax, tol=c.tol)
 
 
 def _tensor_trace(c: ExperimentConfig):
     w1, w2, w3 = c.weight("w1"), c.weight("w2"), c.weight("w3")
     basis = c.make_basis()
-    tensor = tensor_coefficients(w1, w2, w3, basis, c.nmax, c.quadrature)
+    tensor = tensor_coefficients(w1, w2, w3, basis, c.nmax)
     if c.pair == "13":
         return tensor_nonneighbor_trace(tensor, tol=c.tol)
     return tensor_neighbor_trace(
         tensor, w1, w2, w3, basis, pair=(1, 2) if c.pair == "12" else (2, 3),
-        n_reduced=c.n_reduced, quad=c.quadrature, tol=c.tol,
+        n_reduced=c.n_reduced, tol=c.tol,
     )
 
 
 def _kernel_trace(c: ExperimentConfig):
-    return verify_kernel_trace(c.make_kernel(), c.make_basis(), c.nmax, c.quadrature, tol=c.tol)
+    return verify_kernel_trace(c.make_kernel(), c.make_basis(), c.nmax, tol=c.tol)
 
 
 def _simulate(c: ExperimentConfig):
@@ -476,7 +468,7 @@ def _simulate(c: ExperimentConfig):
             phi, psi, c.make_basis(), c.nmax, c.paths,
             seed=c.seed, same_process=not c.distinct,
             workers=c.workers, oracle_draws=c.oracle_draws,
-            oracle_mesh=c.oracle_mesh, quad=c.quadrature,
+            oracle_mesh=c.oracle_mesh,
         )
     standard_error = (report.variance / report.n_paths) ** 0.5
     return report.payload(), abs(report.mean - report.target_trace) <= 3.0 * standard_error
@@ -560,11 +552,9 @@ _FLAG_OPTIONS = {
     "config": {"help": "JSON config file; explicit flags override it"},
     "t0": {"help": "interval start (default 0)"},
     "T": {"help": "interval end (default 1)"},
-    "panels": {"help": "quadrature panels (default 16)"},
-    "nodes": {"help": "quadrature nodes per panel (default 8)"},
     "out": {"help": "output file prefix (default: experiment name)"},
 }
-_COMMON_FLAGS = ("config", "t0", "T", "panels", "nodes", "out")
+_COMMON_FLAGS = ("config", "t0", "T", "out")
 
 
 def build_parser() -> _Parser:

@@ -8,16 +8,19 @@ for a weight pair (phi, psi), their order-3 analogue for weight triples, and
 the expansion matrices of the kernel kinds.  Every running primitive (and
 the mid-level running integral of the order-3 tensors) comes from
 `quadrature._running_integral` at the outer rule's own nodes: per-panel prefix
-sums plus a spectral integration matrix on each panel, so every entry is exact
-(up to roundoff) whenever the weights and basis make the integrands piecewise
-polynomial or resolved oscillations.
+sums plus a spectral integration matrix on each panel.  The outer rule is
+worked out from the integrand's factors alone (one panel per smooth piece of a
+piecewise polynomial integrand, uniform panels only for oscillation), so every
+entry is exact (up to roundoff) whenever the weights and basis make the
+integrands piecewise polynomial or resolved oscillations.
 A kernel's matrix comes from the same engine: every kind is built from two
 factor weights (a, b), so its matrix is G(a, b), G + G^T, or an outer product
 of two `weight_basis_inner` vectors.  The test suite keeps a two-dimensional
 kernel quadrature as the independent check on that route.
 
-Matrices and tensors can be cached on disk in a small binary format keyed by
-a content hash; see `matrix_key`, `cache_store`, `cache_load`.
+Matrices can be cached on disk in a small binary format keyed by a content
+hash of the engine version, the weights, the basis and the count; see
+`matrix_key`, `cache_store`, `cache_load`.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ __all__ = [
     "CacheKeyError",
     "CacheCorruptError",
     "matrix_key",
-    "tensor_key",
     "cache_path",
     "cache_store",
     "cache_load",
@@ -74,7 +76,6 @@ class CoefficientMatrix:
     basis_id: str
     weight_ids: tuple
     interval: Interval
-    quad_fingerprint: str
 
     @property
     def count(self) -> int:
@@ -97,17 +98,16 @@ class CoefficientTensor:
     basis_id: str
     weight_ids: tuple
     interval: Interval
-    quad_fingerprint: str
 
     @property
     def count(self) -> int:
         return self.entries.shape[0]
 
 
-def _result(cls, entries, basis: OrthonormalBasis, weight_ids: tuple, quad: QuadratureConfig):
+def _result(cls, entries, basis: OrthonormalBasis, weight_ids: tuple):
     """A result container stamped with the identifiers that produced it."""
     return cls(entries=entries, basis_id=basis.id, weight_ids=weight_ids,
-               interval=basis.interval, quad_fingerprint=quad.fingerprint())
+               interval=basis.interval)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +152,7 @@ def coefficient_matrix(
     """All entries G[i, j] for i, j < count."""
     left, psi_run = _volterra_tables(phi, psi, basis, count, quad)
     entries = left.T @ psi_run
-    return _result(CoefficientMatrix, entries, basis, (phi.id, psi.id), quad)
+    return _result(CoefficientMatrix, entries, basis, (phi.id, psi.id))
 
 
 def coefficient(
@@ -248,7 +248,7 @@ def kernel_matrix(
 ) -> CoefficientMatrix:
     """Expansion matrix K[i, j] = int int f(t, tau) q_i(t) q_j(tau) dtau dt."""
     entries = _kernel_entries(spec, basis, count, quad, diagonal=False)
-    return _result(CoefficientMatrix, entries, basis, (spec.id,), quad)
+    return _result(CoefficientMatrix, entries, basis, (spec.id,))
 
 
 def kernel_diagonal(
@@ -304,7 +304,7 @@ def tensor_coefficients(
     # lam[g, i2, i1]: the mid-level running integral at each outer node
     lam = _running_integral(rule, (w2(rule.x)[:, None] * q_out)[:, :, None] * psi1[:, None, :])
     entries = np.einsum("g,go,gjk->kjo", rule.w * w3(rule.x), q_out, lam)
-    return _result(CoefficientTensor, entries, basis, (w1.id, w2.id, w3.id), quad)
+    return _result(CoefficientTensor, entries, basis, (w1.id, w2.id, w3.id))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +323,7 @@ _MAGIC = b"STRC"
 _VERSION = 1
 # enters every cache key; bump it whenever an engine change may move the
 # numbers, so files written by an older engine are recomputed, not served
-_ENGINE_VERSION = 2
+_ENGINE_VERSION = 3
 
 
 def _digest(parts: dict) -> str:
@@ -336,7 +336,6 @@ def matrix_key(
     psi: WeightFunction,
     basis: OrthonormalBasis,
     count: int,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> str:
     """Hex content key for a Volterra coefficient matrix."""
     return _digest({
@@ -346,26 +345,6 @@ def matrix_key(
         "psi": psi.id,
         "basis": basis.id,
         "count": int(count),
-        "quad": quad.fingerprint(),
-    })
-
-
-def tensor_key(
-    w1: WeightFunction,
-    w2: WeightFunction,
-    w3: WeightFunction,
-    basis: OrthonormalBasis,
-    count: int,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> str:
-    """Hex content key for an order-3 coefficient tensor."""
-    return _digest({
-        "engine": _ENGINE_VERSION,
-        "kind": "volterra-tensor",
-        "weights": [w1.id, w2.id, w3.id],
-        "basis": basis.id,
-        "count": int(count),
-        "quad": quad.fingerprint(),
     })
 
 
@@ -438,12 +417,12 @@ def cached_coefficient_matrix(
     if directory is None:
         return coefficient_matrix(phi, psi, basis, count, quad)
 
-    key = matrix_key(phi, psi, basis, count, quad)
+    key = matrix_key(phi, psi, basis, count)
     path = cache_path(directory, key)
     if path.exists():
         try:
             entries = cache_load(path, key, (count, count))
-            return _result(CoefficientMatrix, entries, basis, (phi.id, psi.id), quad)
+            return _result(CoefficientMatrix, entries, basis, (phi.id, psi.id))
         except (CacheKeyError, CacheCorruptError):
             pass
     result = coefficient_matrix(phi, psi, basis, count, quad)

@@ -284,9 +284,8 @@ def evaluate_kernel(spec: Kernel, t, tau):
 
 
 def _box_nodes(spec: Kernel, eps: float, base_nodes: int) -> int:
-    cfg = QuadratureConfig(panels=1, nodes_per_panel=base_nodes)
     local_phase = spec.phase * (2.0 * eps) / spec.interval.length
-    return nodes_for(cfg, 2 * spec.degree + 1, local_phase)
+    return nodes_for(DEFAULT_QUADRATURE, 2 * spec.degree + 1, local_phase, floor=base_nodes)
 
 
 def _check_eps(interval: Interval, eps: float) -> None:
@@ -427,8 +426,11 @@ def diagonal_trace(
     target = _diagonal_integral(spec, quad)
     sums = []
     for eps in eps_schedule:
-        rule = integrand_rule(iv, quad, (spec, spec), integrals=2,
-                              breakpoints=[iv.t0 + eps, iv.T - eps])
+        # the box average is smooth along the diagonal except where a box edge
+        # crosses the square's edge or a kernel breakpoint g
+        kinks = np.concatenate([[iv.t0 + eps, iv.T - eps],
+                                spec.breakpoints - eps, spec.breakpoints + eps])
+        rule = integrand_rule(iv, quad, (spec, spec), integrals=2, breakpoints=kinks)
         s = rule.integrate(averaging(spec, eps, rule.x, rule.x))
         sums.append(complex(s) if spec.is_complex else float(s))
 
@@ -524,8 +526,7 @@ def factorization_residual(
         pair = explicit_factor_pair(spec)
     iv = spec.interval
     if nodes is None:
-        cfg = QuadratureConfig(panels=1, nodes_per_panel=8)
-        nodes = nodes_for(cfg, pair.xi_degree, pair.xi_phase)
+        nodes = nodes_for(DEFAULT_QUADRATURE, pair.xi_degree, pair.xi_phase, floor=8)
 
     t = np.linspace(iv.t0, iv.T, sample_grid)
     tau = np.linspace(iv.t0, iv.T, sample_grid)

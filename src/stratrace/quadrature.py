@@ -1,10 +1,12 @@
 """Composite Gauss-Legendre quadrature with exactness-aware node selection.
 
-Rules are built from a uniform panel split of the interval, unioned with any
-breakpoints the integrand demands (dyadic Haar edges, tabulated-weight grids).
-The per-panel node count starts at the configured default and is raised until
-the rule is exact for the declared polynomial degree and resolves the declared
-oscillation; refusal to meet a demand raises instead of silently degrading.
+A rule is a function of its integrand alone.  Its panel edges are the
+integrand's breakpoints (dyadic Haar edges, tabulated-weight grids), one panel
+per smooth piece, and an oscillatory integrand (phase > 0) also gets a uniform
+split into OSCILLATORY_PANELS panels.  The per-panel node count is the least
+that makes the rule exact for the declared polynomial degree and resolves the
+declared oscillation; refusal to meet a demand raises instead of silently
+degrading.
 
 Engines get their rules from one builder, `integrand_rule`: they list their
 integrand's factors (weights, a kernel once per variable, basis blocks from
@@ -47,25 +49,16 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Baseline composite rule: `panels` uniform panels, `nodes_per_panel`
-    Gauss nodes each (exact for polynomials of degree <= 2*nodes_per_panel - 1
-    per panel), raised on demand up to `max_nodes_per_panel`."""
+    """Limits on the rules the integrands demand: a demand of more than
+    `max_nodes_per_panel` Gauss nodes per panel is refused."""
 
-    panels: int = 16
-    nodes_per_panel: int = 8
     max_nodes_per_panel: int = 4096
-
-    def __post_init__(self):
-        if self.panels < 1:
-            raise ValueError(f"panels must be >= 1, got {self.panels}")
-        if self.nodes_per_panel < 1:
-            raise ValueError(f"nodes_per_panel must be >= 1, got {self.nodes_per_panel}")
-
-    def fingerprint(self) -> str:
-        return f"gl:p{self.panels}:n{self.nodes_per_panel}"
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
+# uniform panels of an oscillatory rule; `nodes_for` sizes each panel for the
+# sweep across it
+OSCILLATORY_PANELS = 16
 
 
 @lru_cache(maxsize=None)
@@ -83,18 +76,21 @@ def gauss_rule(n: int):
     return _leggauss(int(n))
 
 
-def nodes_for(config: QuadratureConfig, degree: int = 0, phase: float = 0.0) -> int:
+def nodes_for(config: QuadratureConfig, degree: int = 0, phase: float = 0.0,
+              floor: int = 1) -> int:
     """Per-panel node count meeting a polynomial-degree and oscillation demand.
 
     `degree` is the largest total polynomial degree of the integrand on the
     panel; `phase` is the largest angular sweep (|omega| * panel width) of any
     oscillatory factor.  The degree rule is the exactness bound; the phase rule
     keeps the Gauss error in the superexponential regime with margin to spare.
+    `floor` is the least count returned, for callers that keep a fixed
+    baseline rule of their own.
     """
     need = max(0, (int(degree) + 2) // 2)
     if phase > 0.0:
         need += math.ceil(0.67 * float(phase)) + 14
-    n = max(config.nodes_per_panel, need)
+    n = max(floor, need)
     if n > config.max_nodes_per_panel:
         raise QuadratureError(
             f"demand of {n} nodes per panel exceeds cap {config.max_nodes_per_panel} "
@@ -154,14 +150,16 @@ def composite_rule(
     degree: int = 0,
     phase: float = 0.0,
 ) -> CompositeRule:
-    """Build a composite rule over [t0, t1].
+    """Build a composite rule over [t0, t1]: one panel per breakpoint
+    interval, or, when `phase` is positive, the panels of the breakpoints
+    united with OSCILLATORY_PANELS uniform panels.
 
     `phase` is the total angular sweep over the whole interval; it is scaled
     to the widest panel before the per-panel node count is chosen.
     """
     if not (t1 > t0):
         raise ValueError(f"empty integration range [{t0}, {t1}]")
-    edges = panel_edges(t0, t1, config.panels, breakpoints)
+    edges = panel_edges(t0, t1, OSCILLATORY_PANELS if phase > 0.0 else 1, breakpoints)
     widths = np.diff(edges)
     panel_phase = phase * widths.max() / (t1 - t0) if phase > 0.0 else 0.0
     n = nodes_for(config, degree, panel_phase)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,11 +40,6 @@ from .trace import inner_product
 from .weights import WeightFunction
 
 __all__ = [
-    "GaussianDraw",
-    "gaussian_draw",
-    "simulate_stratonovich_pair",
-    "ito_from_stratonovich",
-    "build_truncated_path",
     "smooth_path_oracle",
     "brownian_midpoint_oracle",
     "mc_campaign",
@@ -61,16 +55,6 @@ _BROWNIAN_BLOCK_VALUES = 256 * 2 ** 14
 _ZETA, _ETA, _BROWNIAN = 0, 1, 2
 
 
-@dataclass(frozen=True)
-class GaussianDraw:
-    """The i.i.d. standard normal coordinates of one simulated path."""
-
-    zeta: np.ndarray
-    eta: np.ndarray | None
-    master_seed: int
-    path_index: int
-
-
 def _block_generator(master_seed: int, block: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((master_seed, block, stream))))
 
@@ -79,48 +63,6 @@ def _block_normals(master_seed: int, block: int, stream: int, n: int) -> np.ndar
     """Coordinate-major draws of one block: row i holds coordinate i of all
     BLOCK_PATHS paths, so fewer rows are a prefix of more."""
     return _block_generator(master_seed, block, stream).standard_normal((n, BLOCK_PATHS))
-
-
-def gaussian_draw(master_seed: int, path_index: int, n: int, with_eta: bool = False) -> GaussianDraw:
-    """Normals for one path: its column of the block draws that campaigns use.
-
-    Redraws the whole block of `path_index`, so this is for inspecting single
-    paths, not for simulating many.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1 normals, got {n}")
-    block, column = divmod(path_index, BLOCK_PATHS)
-    zeta = _block_normals(master_seed, block, _ZETA, n)[:, column].copy()
-    eta = _block_normals(master_seed, block, _ETA, n)[:, column].copy() if with_eta else None
-    return GaussianDraw(zeta=zeta, eta=eta, master_seed=master_seed, path_index=path_index)
-
-
-def simulate_stratonovich_pair(G: np.ndarray, draw: GaussianDraw, same_process: bool = True) -> float:
-    """Quadratic form of the draw in the coefficient matrix."""
-    G = np.asarray(G)
-    n = G.shape[0]
-    if G.ndim != 2 or G.shape[1] != n:
-        raise ValueError(f"coefficient matrix must be square, got {G.shape}")
-    if len(draw.zeta) < n:
-        raise ValueError(f"draw has {len(draw.zeta)} coordinates, matrix needs {n}")
-    zeta = draw.zeta[:n]
-    if same_process:
-        return float(zeta @ G @ zeta)
-    if draw.eta is None:
-        raise ValueError("independent-noise simulation needs a draw with eta")
-    return float(zeta @ G @ draw.eta[:n])
-
-
-def ito_from_stratonovich(j: float, G: np.ndarray) -> float:
-    """Left-endpoint value of a same-noise sample: subtract the matrix trace."""
-    return float(j - np.trace(np.asarray(G)))
-
-
-def build_truncated_path(basis: OrthonormalBasis, zeta: np.ndarray, N: int, t) -> np.ndarray:
-    """W_N(t) = sum_{i<N} zeta_i Q_i(t), the smooth truncation of the path."""
-    Q = basis.antiderivative_block(t, N)
-    out = Q @ np.asarray(zeta)[:N]
-    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def smooth_path_oracle(

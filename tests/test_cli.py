@@ -241,6 +241,22 @@ def test_unknown_config_field_exits_one(tmp_path, monkeypatch, capsys):
     assert "unknown fields" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["panels", "nodes"])
+def test_quadrature_fields_are_unknown(tmp_path, monkeypatch, capsys, field):
+    # rules are worked out from the integrand, so a config that still sets
+    # the old panel count or node floor is refused, naming the field
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"phi": "poly:1", "psi": "poly:1", field: 16}))
+    assert main(["theorem2", "--config", str(cfg), "--basis", "legendre"]) == 1
+    assert f"unknown fields ['{field}']" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["theorem2", "--phi", "poly:1", "--psi", "poly:1", "--basis", "legendre",
+              f"--{field}", "16"])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: --{field} 16" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value", [
     ("paths", 1e4), ("nmax", "16"), ("nmax", True), ("tol", "small"), ("distinct", 1), ("phi", 1),
 ])
@@ -451,7 +467,7 @@ def test_coeffs_files_are_json_dumps_text_and_regenerate_from_the_payload(
 
 @pytest.mark.parametrize("argv, keys", [
     (["coeffs", "--phi", "poly:1", "--psi", "poly:0,1", "--basis", "haar", "--nmax", "8"],
-     ["experiment", "basis", "weights", "N", "quad", "trace", "entries"]),
+     ["experiment", "basis", "weights", "N", "trace", "entries"]),
     (["theorem2", "--phi", "poly:1", "--psi", "poly:0,1", "--basis", "legendre", "--nmax", "8"],
      ["experiment", "basis", "weights", "index_label", "N_values", "partial_sums", "target",
       "errors", "tolerance", "converged", "metadata"]),
@@ -548,7 +564,7 @@ def _plain(matrix: np.ndarray) -> list:
 def _coeffs_payloads(draw):
     payload = {"experiment": "coeffs", "basis": draw(st.text(max_size=8)),
                "weights": draw(st.lists(st.text(max_size=8), max_size=2)),
-               "N": draw(st.integers(0, 4)), "quad": "gl:p16:n8", "trace": draw(_finite),
+               "N": draw(st.integers(0, 4)), "trace": draw(_finite),
                "entries": draw(_matrices())}
     if draw(st.booleans()):  # a key after the matrix
         payload["metadata"] = draw(_json)
@@ -592,7 +608,7 @@ def _assert_written_as_before(payload: dict) -> None:
 @settings(max_examples=300, deadline=None)
 @given(payload=_coeffs_payloads())
 @example(payload={"experiment": "coeffs", "basis": cli._GAP, "weights": [cli._GAP], "N": 1,
-                  "quad": "gl:p16:n8", "trace": 0.5, "entries": np.full((1, 1), 0.5),
+                  "trace": 0.5, "entries": np.full((1, 1), 0.5),
                   "metadata": {"entries": cli._GAP}})  # strings equal to the writer's gap
 def test_coeffs_report_files_are_byte_identical_to_the_previous_writer(payload):
     _assert_written_as_before(payload)

@@ -21,7 +21,6 @@ from stratrace import (
     Interval,
     MonomialMax,
     MonomialMin,
-    QuadratureConfig,
     SeparableRankOne,
     SymmetrizedVolterra,
     TabulatedWeight,
@@ -37,7 +36,6 @@ from stratrace import (
     kernel_matrix,
     matrix_key,
     tensor_coefficients,
-    tensor_key,
     volterra_diagonal,
     volterra_norm_sq,
     weight_basis_inner,
@@ -188,13 +186,6 @@ def test_bessel_bound_and_monotonicity(pc, qc):
     partial = [float(np.sum(matrix.entries[:n, :n] ** 2)) for n in (3, 6, 12)]
     assert partial == sorted(partial)
     assert partial[-1] <= bound + 1e-10
-
-
-def test_node_raising_changes_nothing_beyond_roundoff():
-    leg = make_basis("legendre", 16)
-    base = coefficient_matrix(TEE, TSQ, leg, 16, QuadratureConfig(nodes_per_panel=8))
-    finer = coefficient_matrix(TEE, TSQ, leg, 16, QuadratureConfig(nodes_per_panel=12))
-    assert np.max(np.abs(base.entries - finer.entries)) < 1e-13
 
 
 # -- two-dimensional kernel coefficients ----------------------------------------
@@ -412,6 +403,7 @@ def test_tensor_with_mixed_weights_against_oracle():
 @pytest.mark.parametrize("phi, psi, count", [
     (ONE, poly(*[0.0] * 6, 1.0), 8),
     (poly(0.5, 1.0), poly(1.0, -2.0, 0.5, 3.0, -1.0, 0.25, 2.0, -0.75, 1.5), 16),
+    (TEE, TSQ, 16),
 ])
 def test_matrix_against_polynomial_algebra_oracle(phi, psi, count):
     # the running weight outgrows the outer rule's per-panel interpolation
@@ -431,6 +423,25 @@ def test_tensor_with_a_high_degree_inner_weight_against_oracle(weights):
     tensor = tensor_coefficients(*weights, leg, 4)
     oracle = _polynomial_tensor_oracle(list(weights), 4)
     assert np.max(np.abs(tensor.entries - oracle)) < 1e-13
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [6, 10, 14])
+def test_low_truncations_of_a_high_degree_weight_against_the_algebra_oracles(d, count):
+    # each rule has just the nodes its degree demands, so a few basis
+    # functions against t^d in any slot find any miscounted degree
+    leg = make_basis("legendre", count)
+    high = poly(*[0.0] * d, 1.0)
+    for slot in range(2):
+        weights = [ONE, ONE]
+        weights[slot] = high
+        matrix = coefficient_matrix(*weights, leg, count).entries
+        assert np.max(np.abs(matrix - _polynomial_matrix_oracle(*weights, count))) < 1e-13
+    for slot in range(3):
+        weights = [ONE, ONE, ONE]
+        weights[slot] = high
+        tensor = tensor_coefficients(*weights, leg, count).entries
+        assert np.max(np.abs(tensor - _polynomial_tensor_oracle(weights, count))) < 1e-13
 
 
 def test_tensor_metadata():
@@ -536,10 +547,9 @@ def test_store_leaves_a_foreign_temp_file_alone(tmp_path):
 
 def test_keys_change_with_the_engine_version(monkeypatch):
     leg = make_basis("legendre", 8)
-    before = matrix_key(ONE, TEE, leg, 8), tensor_key(ONE, ONE, ONE, leg, 8)
+    before = matrix_key(ONE, TEE, leg, 8)
     monkeypatch.setattr(coeffs_module, "_ENGINE_VERSION", coeffs_module._ENGINE_VERSION + 1)
-    after = matrix_key(ONE, TEE, leg, 8), tensor_key(ONE, ONE, ONE, leg, 8)
-    assert before[0] != after[0] and before[1] != after[1]
+    assert matrix_key(ONE, TEE, leg, 8) != before
 
 
 def test_keys_depend_on_every_ingredient():
@@ -549,5 +559,3 @@ def test_keys_depend_on_every_ingredient():
     assert matrix_key(ONE, TEE, leg, 16) != base
     assert matrix_key(ONE, TEE, fou, 8) != base
     assert matrix_key(TEE, ONE, leg, 8) != base
-    assert matrix_key(ONE, TEE, leg, 8, QuadratureConfig(panels=32)) != base
-    assert tensor_key(ONE, ONE, ONE, leg, 8) != base

@@ -1,12 +1,13 @@
 """The quadrature demand of every engine rule, pinned.
 
 Each engine asks `integrand_rule` for one rule per integrand.  These tests
-capture the rules it returns and pin their per-panel node counts and panel
-edges, so a demand that drifts (a factor dropped or doubled, a running
-integral miscounted, a breakpoint lost) fails here before it moves a number.
-The config has 4 panels and 1 default node per panel, so the node count is
-the demand's own; cases of both degree parities catch a drift of one degree
-either way.
+capture the rules it returns under the default config and pin their per-panel
+node counts and panel edges, so a demand that drifts (a factor dropped or
+doubled, a running integral miscounted, a breakpoint lost) fails here before
+it moves a number.  A rule without oscillation has one panel per breakpoint
+interval and exactly the nodes its degree demands; cases of both degree
+parities catch a drift of one degree either way.  An oscillatory rule adds
+the 16 uniform panels (UNIFORM16) to its breakpoints.
 """
 
 import numpy as np
@@ -16,7 +17,6 @@ from stratrace import (
     ComplexExponential,
     MonomialMax,
     MonomialMin,
-    QuadratureConfig,
     SeparableRankOne,
     SymmetrizedVolterra,
     TabulatedWeight,
@@ -36,13 +36,13 @@ from stratrace.trace import _reduced_limit_vector
 
 from conftest import UNIT, make_basis, poly
 
-PIN = QuadratureConfig(panels=4, nodes_per_panel=1)
 P3 = poly(1.0, -1.0, 0.0, 2.0)
 P2 = poly(0.5, 0.0, 1.0)
 TRIG = TrigSumWeight(((0, 0.0, 1.0), (2, 1.0, 0.5)), UNIT)
 TAB = TabulatedWeight(np.array([0.0, 0.3, 0.55, 1.0]), np.array([1.0, 2.0, 0.5, 1.0]), UNIT)
 TAB_BREAKS = (0.3, 0.55)
-HAAR8 = tuple(k / 8 for k in (1, 3, 5, 7))  # the dyadic edges the 4 panels lack
+HAAR8 = tuple(k / 8 for k in range(1, 8))  # the dyadic edges of 8 Haar functions
+UNIFORM16 = tuple(k / 16 for k in range(1, 16))
 
 
 @pytest.fixture
@@ -64,47 +64,47 @@ def rules(monkeypatch):
 def _check(rules, call, expected):
     call()
     assert [n for n, _ in rules] == [n for n, _ in expected]
-    for (_, edges), (_, extra) in zip(rules, expected):
-        assert np.array_equal(edges, np.union1d(np.linspace(0.0, 1.0, 5), extra))
+    for (_, edges), (_, inner) in zip(rules, expected):
+        assert np.array_equal(edges, np.union1d([0.0, 1.0], inner))
 
 
 @pytest.mark.parametrize("phi, psi, family, count, expected", [
     (P2, P2, "legendre", 6, [(9, ())]),
     (P3, P2, "legendre", 6, [(9, ())]),
-    (TRIG, TAB, "fourier", 5, [(23, TAB_BREAKS)]),
+    (TRIG, TAB, "fourier", 5, [(18, UNIFORM16 + TAB_BREAKS)]),
     (TAB, P2, "haar", 8, [(3, HAAR8 + TAB_BREAKS)]),
 ])
 def test_volterra_tables_demand(rules, phi, psi, family, count, expected):
-    _check(rules, lambda: volterra_diagonal(phi, psi, make_basis(family, count), count, PIN), expected)
+    _check(rules, lambda: volterra_diagonal(phi, psi, make_basis(family, count), count), expected)
 
 
 @pytest.mark.parametrize("ws, family, count, expected", [
     ((P2, P2, P2), "legendre", 4, [(10, ())]),
     ((P3, P2, P2), "legendre", 4, [(10, ())]),
-    ((TRIG, P2, TAB), "fourier", 4, [(27, TAB_BREAKS)]),
+    ((TRIG, P2, TAB), "fourier", 4, [(21, UNIFORM16 + TAB_BREAKS)]),
     ((TAB, P2, P3), "haar", 8, [(5, HAAR8 + TAB_BREAKS)]),
 ])
 def test_tensor_coefficients_demand(rules, ws, family, count, expected):
-    _check(rules, lambda: tensor_coefficients(*ws, make_basis(family, count), count, PIN), expected)
+    _check(rules, lambda: tensor_coefficients(*ws, make_basis(family, count), count), expected)
 
 
 @pytest.mark.parametrize("phi, psi, expected", [
     (P3, P2, [(6, ())]),
     (P2, P2, [(5, ())]),
-    (TRIG, TAB, [(21, TAB_BREAKS)]),
+    (TRIG, TAB, [(18, UNIFORM16 + TAB_BREAKS)]),
 ])
 def test_volterra_norm_sq_demand(rules, phi, psi, expected):
-    _check(rules, lambda: volterra_norm_sq(phi, psi, PIN), expected)
+    _check(rules, lambda: volterra_norm_sq(phi, psi), expected)
 
 
 @pytest.mark.parametrize("w, family, count, expected", [
     (P3, "legendre", 8, [(6, ())]),
     (P2, "legendre", 8, [(5, ())]),
-    (TRIG, "fourier", 7, [(21, ())]),
+    (TRIG, "fourier", 7, [(17, UNIFORM16)]),
     (TAB, "haar", 8, [(1, HAAR8 + TAB_BREAKS)]),
 ])
 def test_weight_basis_inner_demand(rules, w, family, count, expected):
-    _check(rules, lambda: weight_basis_inner(w, make_basis(family, count), count, PIN), expected)
+    _check(rules, lambda: weight_basis_inner(w, make_basis(family, count), count), expected)
 
 
 # a kernel's rules are those of its factor weights (a, b): one
@@ -113,58 +113,62 @@ def test_weight_basis_inner_demand(rules, w, family, count, expected):
 @pytest.mark.parametrize("spec, family, count, expected", [
     (SymmetrizedVolterra(P3, P2), "legendre", 4, [(7, ())]),
     (MonomialMax(2, 1, UNIT), "haar", 8, [(4, HAAR8)]),
-    (ComplexExponential(1, 3, UNIT), "fourier", 3, [(19, ())]),
-    (SymmetrizedVolterra(TAB, TRIG), "legendre", 3, [(21, TAB_BREAKS)]),
-    (SeparableRankOne(TRIG, TAB), "fourier", 5, [(20, ()), (18, TAB_BREAKS)]),
-    (ComplexExponential(7, -9, UNIT), "legendre", 3, [(21, ())]),
+    (ComplexExponential(1, 3, UNIT), "fourier", 3, [(17, UNIFORM16)]),
+    (SymmetrizedVolterra(TAB, TRIG), "legendre", 3, [(19, UNIFORM16 + TAB_BREAKS)]),
+    (SeparableRankOne(TRIG, TAB), "fourier", 5,
+     [(17, UNIFORM16), (16, UNIFORM16 + TAB_BREAKS)]),
+    (ComplexExponential(7, -9, UNIT), "legendre", 3, [(19, UNIFORM16)]),
 ])
 def test_kernel_matrix_demand(rules, spec, family, count, expected):
-    _check(rules, lambda: kernel_diagonal(spec, make_basis(family, count), count, PIN), expected)
+    _check(rules, lambda: kernel_diagonal(spec, make_basis(family, count), count), expected)
 
 
 @pytest.mark.parametrize("phi, psi, expected", [
     (P3, P2, [(3, ())]),
     (P2, P2, [(3, ())]),
-    (TRIG, TAB, [(18, TAB_BREAKS)]),
+    (TRIG, TAB, [(16, UNIFORM16 + TAB_BREAKS)]),
 ])
 def test_inner_product_demand(rules, phi, psi, expected):
-    _check(rules, lambda: inner_product(phi, psi, PIN), expected)
+    _check(rules, lambda: inner_product(phi, psi), expected)
 
 
 @pytest.mark.parametrize("pair, outer, family, n_reduced, expected", [
     ((P2, P2), P2, "legendre", 4, [(6, ())]),
     ((P3, P2), P2, "legendre", 4, [(6, ())]),
-    ((TRIG, P2), TAB, "fourier", 5, [(22, TAB_BREAKS)]),
+    ((TRIG, P2), TAB, "fourier", 5, [(19, UNIFORM16 + TAB_BREAKS)]),
     ((TAB, P3), P2, "haar", 8, [(4, HAAR8 + TAB_BREAKS)]),
 ])
 def test_reduced_limit_vector_demand(rules, pair, outer, family, n_reduced, expected):
     _check(rules, lambda: _reduced_limit_vector(
-        pair, outer, make_basis(family, n_reduced), n_reduced, PIN, from_left=True), expected)
+        pair, outer, make_basis(family, n_reduced), n_reduced, quadrature.DEFAULT_QUADRATURE, from_left=True), expected)
 
 
 @pytest.mark.parametrize("family, count, expected", [
     ("legendre", 6, [(6, ())]),
-    ("fourier", 5, [(20, ())]),
+    ("fourier", 5, [(17, UNIFORM16)]),
     ("haar", 8, [(1, HAAR8)]),
 ])
 def test_gram_matrix_demand(rules, family, count, expected):
-    _check(rules, lambda: gram_matrix(make_basis(family, count), count, PIN), expected)
+    _check(rules, lambda: gram_matrix(make_basis(family, count), count), expected)
 
 
 @pytest.mark.parametrize("spec, expected", [
     (MonomialMin(1, 2, UNIT), [(4, ())]),
-    (SymmetrizedVolterra(TAB, TRIG), [(21, TAB_BREAKS)]),
-    (ComplexExponential(1, 3, UNIT), [(17, ())]),
+    (SymmetrizedVolterra(TAB, TRIG), [(18, UNIFORM16 + TAB_BREAKS)]),
+    (ComplexExponential(1, 3, UNIT), [(16, UNIFORM16)]),
 ])
 def test_diagonal_integral_demand(rules, spec, expected):
-    _check(rules, lambda: _diagonal_integral(spec, PIN), expected)
+    _check(rules, lambda: _diagonal_integral(spec, quadrature.DEFAULT_QUADRATURE), expected)
 
 
 @pytest.mark.parametrize("spec, schedule, expected", [
     (MonomialMin(1, 2, UNIT), [0.1, 0.05],
      [(4, ()), (5, (0.1, 1.0 - 0.1)), (5, (0.05, 1.0 - 0.05))]),
+    # the box rules split where a box edge crosses the square's edge (eps,
+    # 1 - eps) or a breakpoint g (g - eps, g + eps)
     (SymmetrizedVolterra(TAB, TRIG), [0.2],
-     [(21, TAB_BREAKS), (21, TAB_BREAKS + (0.2, 1.0 - 0.2))]),
+     [(18, UNIFORM16 + TAB_BREAKS),
+      (19, UNIFORM16 + TAB_BREAKS + (0.2, 0.8) + (0.3 - 0.2, 0.3 + 0.2, 0.55 - 0.2, 0.55 + 0.2))]),
 ])
 def test_diagonal_trace_demand(rules, spec, schedule, expected):
-    _check(rules, lambda: diagonal_trace(spec, schedule, PIN), expected)
+    _check(rules, lambda: diagonal_trace(spec, schedule), expected)

@@ -25,7 +25,7 @@ from stratrace import (
     integrand_rule,
 )
 from stratrace.kernel import _AVERAGING_BLOCK_VALUES, _box_nodes, _check_eps
-from stratrace.quadrature import DEFAULT_QUADRATURE, scaled_segments
+from stratrace.quadrature import DEFAULT_QUADRATURE, panel_edges, scaled_segments
 from stratrace.trace import inner_product
 
 from conftest import UNIT, poly
@@ -418,13 +418,35 @@ def test_diagonal_trace_equals_the_oracle_ladder(spec):
     schedule = default_eps_schedule(UNIT, 3, 6)
     sums = []
     for eps in schedule:
+        kinks = np.concatenate([[eps, 1.0 - eps], spec.breakpoints - eps, spec.breakpoints + eps])
         rule = integrand_rule(UNIT, DEFAULT_QUADRATURE, (spec, spec), integrals=2,
-                              breakpoints=[eps, 1.0 - eps])
+                              breakpoints=kinks)
         sums.append(rule.integrate(np.array(_oracle_grid(spec, eps, rule.x, rule.x))))
     e1, e2 = schedule[-2], schedule[-1]
     report = diagonal_trace(spec, schedule)
     assert report.partial_sums == sums
     assert report.metadata["extrapolated"] == (e1 * sums[-1] - e2 * sums[-2]) / (e1 - e2)
+
+
+def test_box_sums_of_a_table_kernel_are_exact_off_its_grid():
+    # along the diagonal a sliding box is kinked where its edge crosses a grid
+    # point g, at t = g -+ eps; on a grid that misses the eps schedule's
+    # multiples, a rule split there integrates it exactly with any panels
+    grid = np.array([0.0, 0.13, 0.37, 0.41, 0.66, 0.9, 1.0])
+    table = TabulatedWeight(grid, np.array([1.0, 2.0, 0.5, 1.5, -0.5, 0.8, 1.2]), UNIT)
+    spec = SymmetrizedVolterra(table, poly(0.5, 0.0, 1.0))
+    schedule = default_eps_schedule(UNIT, 3, 12)
+    ref_x, ref_w = gauss_rule(8)
+    sums = []
+    for eps in schedule:
+        g = spec.breakpoints
+        edges = panel_edges(0.0, 1.0, 64, np.concatenate([[eps, 1.0 - eps], g - eps, g + eps]))
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+        x = (mid[:, None] + half[:, None] * ref_x).ravel()
+        w = (half[:, None] * ref_w).ravel()
+        sums.append(w @ averaging(spec, eps, x, x))
+    report = diagonal_trace(spec, schedule)
+    assert np.max(np.abs(np.array(report.partial_sums) - sums)) < 1e-14
 
 
 # -- explicit factorizations ---------------------------------------------------

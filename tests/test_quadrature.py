@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from stratrace import QuadratureConfig, QuadratureError, composite_rule, gauss_rule, volterra_diagonal
 from stratrace.quadrature import (
     DEFAULT_QUADRATURE,
+    OSCILLATORY_PANELS,
     Factor,
     integrand_rule,
     _integration_matrix,
@@ -79,14 +80,19 @@ def test_integration_matrix_integrates_monomials_below_n():
 
 
 def test_running_integral_is_exact_for_cubics():
-    rule = composite_rule(0.0, 1.0, DEFAULT_QUADRATURE, degree=3)
+    # pointwise exactness for an integrand of degree k needs k + 1 nodes a
+    # panel, the demand of degree 2k
+    rule = composite_rule(0.0, 1.0, DEFAULT_QUADRATURE, degree=4)
+    assert rule.nodes_per_panel == 3
     # running integral of t^2 from the left end to each outer node
     running = _running_integral(rule, rule.x**2)
     assert np.max(np.abs(running - rule.x**3 / 3.0)) < 1e-14
 
 
 def test_running_integral_with_trailing_axes_across_a_breakpoint():
-    rule = composite_rule(0.0, 1.0, DEFAULT_QUADRATURE, breakpoints=[0.3], degree=4)
+    # pointwise exact up to the t^4 integrand: 5 nodes a panel, degree 8
+    rule = composite_rule(0.0, 1.0, DEFAULT_QUADRATURE, breakpoints=[0.3], degree=8)
+    assert rule.nodes_per_panel == 5
     x = rule.x
     # t times (1, t^2, then t^3 in a second trailing axis), node axis first
     values = x[:, None, None] * np.stack([np.ones_like(x), x**2, x**3], axis=-1).reshape(-1, 1, 3)
@@ -107,9 +113,17 @@ def test_scaled_segments_variable_upper_bounds():
 
 def test_nodes_for_grows_with_degree_and_phase():
     cfg = QuadratureConfig()
-    assert nodes_for(cfg, 3) == cfg.nodes_per_panel
-    assert nodes_for(cfg, 40) > nodes_for(cfg, 3)
-    assert nodes_for(cfg, 0, phase=200.0) > nodes_for(cfg, 0)
+    # n Gauss nodes are exact up to degree 2n - 1
+    assert [nodes_for(cfg, d) for d in range(6)] == [1, 1, 2, 2, 3, 3]
+    assert nodes_for(cfg, 40) == 21
+    assert nodes_for(cfg, 0, phase=200.0) == 1 + 134 + 14
+
+
+def test_nodes_for_keeps_a_callers_floor():
+    cfg = QuadratureConfig()
+    assert nodes_for(cfg, 3, floor=8) == 8
+    assert nodes_for(cfg, 40, floor=8) == 21
+    assert nodes_for(cfg, 0, phase=1.0, floor=8) == 16
 
 
 def test_nodes_for_raises_beyond_cap():
@@ -126,37 +140,32 @@ def test_legendre_node_cap_is_reached_at_4096_terms():
         volterra_diagonal(one, one, make_basis("legendre", 4096), 4096)
 
 
-def test_fingerprint_tracks_every_precision_field():
-    a = QuadratureConfig()
-    b = QuadratureConfig(panels=32)
-    c = QuadratureConfig(nodes_per_panel=12)
-    assert len({a.fingerprint(), b.fingerprint(), c.fingerprint()}) == 3
-
-
-def test_fingerprint_names_panels_and_nodes():
-    assert QuadratureConfig().fingerprint() == "gl:p16:n8"
-    assert QuadratureConfig(panels=3, nodes_per_panel=5).fingerprint() == "gl:p3:n5"
-
-
 def test_integrand_rule_sums_degrees_and_phases_and_unites_breakpoints():
-    cfg = QuadratureConfig(panels=4, nodes_per_panel=1)
     factors = (Factor(3, 0.0, np.array([0.3])), Factor(2, 4.0 * np.pi, np.empty(0)),
                poly(1.0, 2.0), Factor(0, 2.0 * np.pi, np.array([0.3, 0.6])))
-    rule = integrand_rule(UNIT, cfg, factors, integrals=2, breakpoints=[0.9])
+    rule = integrand_rule(UNIT, DEFAULT_QUADRATURE, factors, integrals=2, breakpoints=[0.9])
     # degree 3 + 2 + 1 + 0 + 2 integrals = 8 needs 5 nodes; phase 6 pi over the
-    # widest panel (1/4) adds ceil(0.67 * 1.5 pi) + 14
-    expected = composite_rule(0.0, 1.0, cfg, breakpoints=[0.3, 0.6, 0.9], degree=8,
-                              phase=6.0 * np.pi)
-    assert rule.nodes_per_panel == expected.nodes_per_panel == 5 + 14 + 4
-    assert np.array_equal(rule.edges, [0.0, 0.25, 0.3, 0.5, 0.6, 0.75, 0.9, 1.0])
+    # widest of the 16 uniform panels (1/16) adds ceil(0.67 * 6 pi / 16) + 14
+    expected = composite_rule(0.0, 1.0, DEFAULT_QUADRATURE, breakpoints=[0.3, 0.6, 0.9],
+                              degree=8, phase=6.0 * np.pi)
+    assert rule.nodes_per_panel == expected.nodes_per_panel == 5 + 14 + 1
+    assert np.array_equal(rule.edges, np.union1d(np.linspace(0.0, 1.0, OSCILLATORY_PANELS + 1),
+                                                 [0.3, 0.6, 0.9]))
     assert np.array_equal(rule.edges, expected.edges)
 
 
-def test_integrand_rule_without_factors_is_the_baseline_rule():
+def test_integrand_rule_without_oscillation_has_one_panel_per_smooth_piece():
+    factors = (Factor(3, 0.0, np.array([0.3])), poly(1.0, 2.0), Factor(0, 0.0, np.array([0.6])))
+    rule = integrand_rule(UNIT, DEFAULT_QUADRATURE, factors, integrals=2, breakpoints=[0.9])
+    assert rule.nodes_per_panel == 4
+    assert np.array_equal(rule.edges, [0.0, 0.3, 0.6, 0.9, 1.0])
+
+
+def test_integrand_rule_without_factors_is_one_gauss_node():
     rule = integrand_rule(UNIT, DEFAULT_QUADRATURE, ())
-    assert rule.nodes_per_panel == DEFAULT_QUADRATURE.nodes_per_panel
-    assert np.array_equal(rule.edges, np.linspace(0.0, 1.0, DEFAULT_QUADRATURE.panels + 1))
-    assert integrand_rule(UNIT, QuadratureConfig(nodes_per_panel=1), (), integrals=3).nodes_per_panel == 2
+    assert rule.nodes_per_panel == 1
+    assert np.array_equal(rule.edges, [0.0, 1.0])
+    assert integrand_rule(UNIT, DEFAULT_QUADRATURE, (), integrals=3).nodes_per_panel == 2
 
 
 def test_invalid_interval_rejected():

@@ -11,17 +11,12 @@ import numpy as np
 import pytest
 
 from stratrace import (
-    GaussianDraw,
     brownian_midpoint_oracle,
-    build_truncated_path,
     coefficient_matrix,
-    gaussian_draw,
-    ito_from_stratonovich,
     mc_campaign,
-    simulate_stratonovich_pair,
     smooth_path_oracle,
 )
-from stratrace.stochastic import BLOCK_PATHS, _simulate_block
+from stratrace.stochastic import _ETA, _ZETA, BLOCK_PATHS, _block_normals, _simulate_block
 
 from conftest import UNIT, make_basis, poly
 
@@ -30,99 +25,42 @@ TEE = poly(0.0, 1.0)
 ZERO = poly(0.0)
 
 
-def _zero_draw(n):
-    return GaussianDraw(zeta=np.zeros(n), eta=np.zeros(n), master_seed=0, path_index=0)
+def _path(master_seed, k, n, stream=_ZETA):
+    """The n coordinates of path k in the campaigns' block draws."""
+    block, column = divmod(k, BLOCK_PATHS)
+    return _block_normals(master_seed, block, stream, n)[:, column]
 
 
 # -- draws ------------------------------------------------------------------------
 
 
-def test_draws_are_reproducible():
-    a = gaussian_draw(11, 3, 16)
-    b = gaussian_draw(11, 3, 16)
-    assert np.array_equal(a.zeta, b.zeta)
-    assert a.eta is None
+def test_block_draws_are_reproducible():
+    a = _block_normals(11, 0, _ZETA, 16)
+    assert a.shape == (16, BLOCK_PATHS)
+    assert np.array_equal(a, _block_normals(11, 0, _ZETA, 16))
 
 
-def test_requesting_eta_does_not_change_zeta():
-    plain = gaussian_draw(11, 3, 16)
-    both = gaussian_draw(11, 3, 16, with_eta=True)
-    assert np.array_equal(plain.zeta, both.zeta)
-    assert both.eta is not None
-    assert not np.array_equal(both.zeta, both.eta)
-
-
-def test_paths_get_distinct_streams():
-    a = gaussian_draw(11, 0, 16)
-    b = gaussian_draw(11, 1, 16)
-    assert not np.array_equal(a.zeta, b.zeta)
+def test_streams_and_blocks_are_distinct():
+    zeta = _block_normals(11, 0, _ZETA, 16)
+    assert not np.array_equal(zeta, _block_normals(11, 0, _ETA, 16))
+    assert not np.array_equal(zeta, _block_normals(11, 1, _ZETA, 16))
+    assert not np.array_equal(zeta[:, 0], zeta[:, 1])
 
 
 @pytest.mark.parametrize("k", [0, 4095, 4096, 2 * 4096 + 4])
 def test_smaller_truncations_are_prefixes_of_larger_ones(k):
-    small = gaussian_draw(11, k, 8, with_eta=True)
-    large = gaussian_draw(11, k, 16, with_eta=True)
-    assert np.array_equal(small.zeta, large.zeta[:8])
-    assert np.array_equal(small.eta, large.eta[:8])
-
-
-def test_draw_needs_positive_dimension():
-    with pytest.raises(ValueError, match="n >= 1"):
-        gaussian_draw(11, 0, 0)
+    for stream in (_ZETA, _ETA):
+        assert np.array_equal(_path(11, k, 8, stream), _path(11, k, 16, stream)[:8])
 
 
 # -- quadratic forms ---------------------------------------------------------------
 
 
-def test_zero_draw_gives_zero_sample():
-    leg = make_basis("legendre", 4)
-    G = coefficient_matrix(ONE, ONE, leg, 4).entries
-    assert simulate_stratonovich_pair(G, _zero_draw(4)) == 0.0
-
-
 def test_single_mode_sample_is_half_square():
     leg = make_basis("legendre", 1)
     G = coefficient_matrix(ONE, ONE, leg, 1).entries
-    draw = gaussian_draw(5, 0, 1)
-    j = simulate_stratonovich_pair(G, draw)
-    assert j == pytest.approx(0.5 * draw.zeta[0] ** 2, abs=1e-14)
-
-
-def test_distinct_processes_need_eta():
-    G = np.eye(3)
-    draw = gaussian_draw(5, 0, 3)
-    with pytest.raises(ValueError, match="needs a draw with eta"):
-        simulate_stratonovich_pair(G, draw, same_process=False)
-
-
-def test_distinct_process_sample_is_the_bilinear_form():
-    leg = make_basis("legendre", 6)
-    G = coefficient_matrix(ONE, TEE, leg, 6).entries
-    draw = gaussian_draw(5, 2, 6, with_eta=True)
-    j = simulate_stratonovich_pair(G, draw, same_process=False)
-    assert j == pytest.approx(float(draw.zeta @ G @ draw.eta), abs=1e-14)
-
-
-def test_quadratic_form_validates_shapes():
-    draw = gaussian_draw(5, 0, 2)
-    with pytest.raises(ValueError, match="square"):
-        simulate_stratonovich_pair(np.zeros((2, 3)), draw)
-    with pytest.raises(ValueError, match="draw has 2"):
-        simulate_stratonovich_pair(np.eye(3), draw)
-
-
-def test_ito_correction_vanishes_at_the_trace():
-    leg = make_basis("legendre", 8)
-    G = coefficient_matrix(ONE, ONE, leg, 8).entries
-    assert ito_from_stratonovich(float(np.trace(G)), G) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_ito_correction_equals_running_trace():
-    leg = make_basis("legendre", 128)
-    G = coefficient_matrix(ONE, TEE, leg, 128).entries
-    correction = float(np.trace(G))
-    assert correction == pytest.approx(0.25, abs=1e-3)
-    assert ito_from_stratonovich(0.0, G) == pytest.approx(-correction, abs=1e-14)
+    zeta = _block_normals(5, 0, _ZETA, 1)[0]
+    assert np.allclose(_simulate_block((G, 5, 0, True)), 0.5 * zeta**2, rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("same_process", [True, False])
@@ -132,35 +70,9 @@ def test_block_samples_equal_the_per_path_quadratic_form(same_process):
     for k in (0, 4095, 4096, 2 * 4096 + 4):
         block, column = divmod(k, BLOCK_PATHS)
         sample = _simulate_block((G, 21, block, same_process))[column]
-        draw = gaussian_draw(21, k, 16, with_eta=not same_process)
-        assert sample == pytest.approx(simulate_stratonovich_pair(G, draw, same_process), abs=1e-12)
-
-
-# -- truncated smooth paths --------------------------------------------------------
-
-
-def test_path_from_first_coordinate_hits_one_at_the_endpoint():
-    leg = make_basis("legendre", 8)
-    zeta = np.zeros(8)
-    zeta[0] = 1.0
-    assert build_truncated_path(leg, zeta, 8, 1.0) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_zero_coordinates_give_the_zero_path():
-    leg = make_basis("legendre", 8)
-    t = np.linspace(0.0, 1.0, 11)
-    path = build_truncated_path(leg, np.zeros(8), 8, t)
-    assert path.shape == (11,)
-    assert np.all(path == 0.0)
-
-
-def test_endpoint_value_keeps_only_the_first_coordinate():
-    # every antiderivative beyond the first vanishes at T, so W_N(T) = zeta_0
-    leg = make_basis("legendre", 16)
-    draw = gaussian_draw(9, 4, 16)
-    assert build_truncated_path(leg, draw.zeta, 16, 1.0) == pytest.approx(
-        draw.zeta[0], abs=1e-12
-    )
+        zeta = _path(21, k, 16)
+        right = zeta if same_process else _path(21, k, 16, _ETA)
+        assert sample == pytest.approx(float(zeta @ G @ right), abs=1e-12)
 
 
 # -- smooth-path oracle ------------------------------------------------------------
@@ -168,9 +80,9 @@ def test_endpoint_value_keeps_only_the_first_coordinate():
 
 def test_oracle_single_mode_closed_form():
     leg = make_basis("legendre", 1)
-    draw = gaussian_draw(13, 0, 1)
-    val = smooth_path_oracle(ONE, ONE, leg, draw.zeta, 1)
-    assert val == pytest.approx(0.5 * draw.zeta[0] ** 2, abs=1e-12)
+    zeta = _path(13, 0, 1)
+    val = smooth_path_oracle(ONE, ONE, leg, zeta, 1)
+    assert val == pytest.approx(0.5 * zeta[0] ** 2, abs=1e-12)
 
 
 def test_oracle_zero_path():
@@ -182,33 +94,33 @@ def test_oracle_matches_quadratic_form():
     leg = make_basis("legendre", 8)
     G = coefficient_matrix(ONE, ONE, leg, 8).entries
     for k in range(4):
-        draw = gaussian_draw(13, k, 8)
-        direct = simulate_stratonovich_pair(G, draw)
-        ref = smooth_path_oracle(ONE, ONE, leg, draw.zeta, 8, mesh=2048)
+        zeta = _path(13, k, 8)
+        direct = zeta @ G @ zeta
+        ref = smooth_path_oracle(ONE, ONE, leg, zeta, 8, mesh=2048)
         assert abs(direct - ref) <= 1e-6
 
 
 def test_oracle_matches_quadratic_form_with_mixed_weights():
     leg = make_basis("legendre", 8)
     G = coefficient_matrix(ONE, TEE, leg, 8).entries
-    draw = gaussian_draw(13, 1, 8)
-    direct = simulate_stratonovich_pair(G, draw)
-    ref = smooth_path_oracle(ONE, TEE, leg, draw.zeta, 8, mesh=2048)
+    zeta = _path(13, 1, 8)
+    direct = zeta @ G @ zeta
+    ref = smooth_path_oracle(ONE, TEE, leg, zeta, 8, mesh=2048)
     assert abs(direct - ref) <= 1e-6
 
 
 def test_oracle_matches_bilinear_form_for_distinct_noises():
     leg = make_basis("legendre", 8)
     G = coefficient_matrix(ONE, ONE, leg, 8).entries
-    draw = gaussian_draw(13, 2, 8, with_eta=True)
-    direct = simulate_stratonovich_pair(G, draw, same_process=False)
-    ref = smooth_path_oracle(ONE, ONE, leg, draw.zeta, 8, eta=draw.eta, mesh=2048)
+    zeta, eta = _path(13, 2, 8), _path(13, 2, 8, _ETA)
+    direct = zeta @ G @ eta
+    ref = smooth_path_oracle(ONE, ONE, leg, zeta, 8, eta=eta, mesh=2048)
     assert abs(direct - ref) <= 1e-6
 
 
 def test_oracle_takes_a_stack_of_draws():
     leg = make_basis("legendre", 8)
-    zeta = np.array([gaussian_draw(13, k, 8).zeta for k in range(3)])
+    zeta = _block_normals(13, 0, _ZETA, 8)[:, :3].T.copy()
     eta = zeta[::-1].copy()
     for inner in (None, eta):
         stacked = smooth_path_oracle(ONE, TEE, leg, zeta, 8, eta=inner)
