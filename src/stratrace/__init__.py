@@ -20,9 +20,7 @@ from .coeffs import (
     cache_load,
     cache_store,
     cached_coefficient_matrix,
-    coefficient,
     coefficient_matrix,
-    kernel_coefficient,
     kernel_diagonal,
     kernel_matrix,
     matrix_key,
@@ -49,7 +47,6 @@ from .kernel import (
 )
 from .quadrature import (
     CompositeRule,
-    QuadratureConfig,
     QuadratureError,
     composite_rule,
     gauss_rule,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import DEFAULT_QUADRATURE, Factor, QuadratureConfig, integrand_rule
+from .quadrature import Factor, integrand_rule
 
 __all__ = ["Interval", "OrthonormalBasis", "FAMILIES", "gram_matrix"]
 
@@ -199,11 +199,11 @@ class OrthonormalBasis:
         return out
 
 
-def gram_matrix(basis: OrthonormalBasis, n: int, quad: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
+def gram_matrix(basis: OrthonormalBasis, n: int) -> np.ndarray:
     """Quadrature Gram matrix of the first n basis functions (identity check)."""
     if n < 1 or n > basis.size:
         raise ValueError(f"need 1 <= n <= {basis.size}, got {n}")
     q = basis.factor(n)
-    rule = integrand_rule(basis.interval, quad, (q, q))
+    rule = integrand_rule(basis.interval, (q, q))
     block = basis.evaluate_block(rule.x, n)
     return (block * rule.w[:, None]).T @ block

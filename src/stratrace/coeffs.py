@@ -35,23 +35,16 @@ import numpy as np
 
 from .basis import Interval, OrthonormalBasis
 from .kernel import Kernel
-from .quadrature import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
-    _running_integral,
-    integrand_rule,
-)
+from .quadrature import _running_integral, integrand_rule
 from .weights import WeightFunction
 
 __all__ = [
     "CoefficientMatrix",
     "CoefficientTensor",
-    "coefficient",
     "coefficient_matrix",
     "volterra_diagonal",
     "volterra_norm_sq",
     "weight_basis_inner",
-    "kernel_coefficient",
     "kernel_matrix",
     "kernel_diagonal",
     "tensor_coefficients",
@@ -84,10 +77,6 @@ class CoefficientMatrix:
     @property
     def trace(self):
         return self.entries.trace()
-
-    def symmetrized(self) -> np.ndarray:
-        """entries + entries^T, the matrix of the symmetrized kernel."""
-        return self.entries + self.entries.T
 
 
 @dataclass(frozen=True)
@@ -124,14 +113,14 @@ def _check_inputs(basis: OrthonormalBasis, count: int, *weights: WeightFunction)
             )
 
 
-def _volterra_tables(phi, psi, basis, count, quad):
+def _volterra_tables(phi, psi, basis, count):
     """Tables on one outer rule whose contraction over nodes gives G:
     left[g, i] = w_g phi(x_g) q_i(x_g) and the running primitive Psi[g, j]."""
     _check_inputs(basis, count, phi, psi)
     # phi q_i R(psi q_j) has degree phi + psi + 2b + 1; Q, Q ask one more, a
     # spare degree kept so node counts (and where the node cap bites) stay put
     Q = basis.factor(count, antiderivative=True)
-    rule = integrand_rule(basis.interval, quad, (phi, psi, Q, Q))
+    rule = integrand_rule(basis.interval, (phi, psi, Q, Q))
     q_out = basis.evaluate_block(rule.x, count)
     psi_run = _running_integral(rule, psi(rule.x)[:, None] * q_out)
     left = (rule.w * phi(rule.x))[:, None] * q_out
@@ -147,27 +136,11 @@ def coefficient_matrix(
     psi: WeightFunction,
     basis: OrthonormalBasis,
     count: int,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> CoefficientMatrix:
     """All entries G[i, j] for i, j < count."""
-    left, psi_run = _volterra_tables(phi, psi, basis, count, quad)
+    left, psi_run = _volterra_tables(phi, psi, basis, count)
     entries = left.T @ psi_run
     return _result(CoefficientMatrix, entries, basis, (phi.id, psi.id))
-
-
-def coefficient(
-    phi: WeightFunction,
-    psi: WeightFunction,
-    basis: OrthonormalBasis,
-    i: int,
-    j: int,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
-    """Single entry G[i, j]."""
-    if i < 0 or j < 0:
-        raise ValueError(f"indices must be >= 0, got ({i}, {j})")
-    count = max(i, j) + 1
-    return float(coefficient_matrix(phi, psi, basis, count, quad).entries[i, j])
 
 
 def volterra_diagonal(
@@ -175,18 +148,13 @@ def volterra_diagonal(
     psi: WeightFunction,
     basis: OrthonormalBasis,
     count: int,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> np.ndarray:
     """The diagonal G[i, i] for i < count, without forming the full matrix."""
-    left, psi_run = _volterra_tables(phi, psi, basis, count, quad)
+    left, psi_run = _volterra_tables(phi, psi, basis, count)
     return np.einsum("gi,gi->i", left, psi_run)
 
 
-def volterra_norm_sq(
-    phi: WeightFunction,
-    psi: WeightFunction,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
+def volterra_norm_sq(phi: WeightFunction, psi: WeightFunction) -> float:
     """Squared Hilbert-Schmidt norm of phi(t) psi(tau) 1(t - tau).
 
     Equals the absolutely convergent sum of all squared matrix entries in any
@@ -195,20 +163,15 @@ def volterra_norm_sq(
     iv = phi.interval
     if iv != psi.interval:
         raise ValueError("weight functions live on different intervals")
-    rule = integrand_rule(iv, quad, (phi, phi, psi, psi), integrals=1)
+    rule = integrand_rule(iv, (phi, phi, psi, psi), integrals=1)
     running = _running_integral(rule, psi(rule.x) ** 2)
     return float(rule.integrate(phi(rule.x) ** 2 * running))
 
 
-def weight_basis_inner(
-    w: WeightFunction,
-    basis: OrthonormalBasis,
-    count: int,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> np.ndarray:
+def weight_basis_inner(w: WeightFunction, basis: OrthonormalBasis, count: int) -> np.ndarray:
     """Vector of inner products (w, q_i) for i < count."""
     _check_inputs(basis, count, w)
-    rule = integrand_rule(basis.interval, quad, (w, basis.factor(count)))
+    rule = integrand_rule(basis.interval, (w, basis.factor(count)))
     q = basis.evaluate_block(rule.x, count)
     return (rule.w * w(rule.x)) @ q
 
@@ -218,7 +181,7 @@ def weight_basis_inner(
 
 
 def _kernel_entries(spec: Kernel, basis: OrthonormalBasis, count: int,
-                    quad: QuadratureConfig, diagonal: bool) -> np.ndarray:
+                    diagonal: bool) -> np.ndarray:
     """K, or its diagonal, for a kernel with factor weights (a, b): G(a, b)
     when one-sided, G + G^T when mirrored (the mirror term a(tau) b(t)
     1(tau - t) expands to G^T), and the outer product of (a, q_i) and
@@ -229,10 +192,10 @@ def _kernel_entries(spec: Kernel, basis: OrthonormalBasis, count: int,
         raise ValueError(f"kernel lives on {spec.interval.id}, basis on {basis.interval.id}")
     a, b = spec.weights
     if not spec.has_step:
-        u = weight_basis_inner(a, basis, count, quad)
-        v = weight_basis_inner(b, basis, count, quad)
+        u = weight_basis_inner(a, basis, count)
+        v = weight_basis_inner(b, basis, count)
         return u * v if diagonal else np.outer(u, v)
-    left, b_run = _volterra_tables(a, b, basis, count, quad)
+    left, b_run = _volterra_tables(a, b, basis, count)
     if diagonal:
         g = np.einsum("gi,gi->i", left, b_run)
         return 2.0 * g if spec.mirrored else g
@@ -240,39 +203,15 @@ def _kernel_entries(spec: Kernel, basis: OrthonormalBasis, count: int,
     return g + g.T if spec.mirrored else g
 
 
-def kernel_matrix(
-    spec: Kernel,
-    basis: OrthonormalBasis,
-    count: int,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> CoefficientMatrix:
+def kernel_matrix(spec: Kernel, basis: OrthonormalBasis, count: int) -> CoefficientMatrix:
     """Expansion matrix K[i, j] = int int f(t, tau) q_i(t) q_j(tau) dtau dt."""
-    entries = _kernel_entries(spec, basis, count, quad, diagonal=False)
+    entries = _kernel_entries(spec, basis, count, diagonal=False)
     return _result(CoefficientMatrix, entries, basis, (spec.id,))
 
 
-def kernel_diagonal(
-    spec: Kernel,
-    basis: OrthonormalBasis,
-    count: int,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> np.ndarray:
+def kernel_diagonal(spec: Kernel, basis: OrthonormalBasis, count: int) -> np.ndarray:
     """The diagonal K[i, i] for i < count."""
-    return _kernel_entries(spec, basis, count, quad, diagonal=True)
-
-
-def kernel_coefficient(
-    spec: Kernel,
-    basis: OrthonormalBasis,
-    i: int,
-    j: int,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-):
-    """Single entry K[i, j]."""
-    if i < 0 or j < 0:
-        raise ValueError(f"indices must be >= 0, got ({i}, {j})")
-    entry = kernel_matrix(spec, basis, max(i, j) + 1, quad).entries[i, j]
-    return complex(entry) if spec.is_complex else float(entry)
+    return _kernel_entries(spec, basis, count, diagonal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +224,6 @@ def tensor_coefficients(
     w3: WeightFunction,
     basis: OrthonormalBasis,
     count: int,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> CoefficientTensor:
     """Entries[i1, i2, i3] = int w3 q_{i3}(t) (int^t w2 q_{i2}(s) (int^s w1 q_{i1}(r) dr) ds) dt,
     the iterated integral over t > s > r with w1 innermost and w3 outermost.
@@ -297,7 +235,7 @@ def tensor_coefficients(
     _check_inputs(basis, count, w1, w2, w3)
     # one spare degree, as in `_volterra_tables`
     Q = basis.factor(count, antiderivative=True)
-    rule = integrand_rule(basis.interval, quad, (w1, w2, w3, Q, Q, Q))
+    rule = integrand_rule(basis.interval, (w1, w2, w3, Q, Q, Q))
     q_out = basis.evaluate_block(rule.x, count)
     # psi1[g, i1]: the innermost primitive at each outer node
     psi1 = _running_integral(rule, w1(rule.x)[:, None] * q_out)
@@ -403,7 +341,7 @@ def cached_coefficient_matrix(
     psi: WeightFunction,
     basis: OrthonormalBasis,
     count: int,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
+    *,
     directory=None,
 ) -> CoefficientMatrix:
     """`coefficient_matrix` with a disk cache.
@@ -415,7 +353,7 @@ def cached_coefficient_matrix(
     if directory is None:
         directory = os.environ.get("STRC_CACHE_DIR") or None
     if directory is None:
-        return coefficient_matrix(phi, psi, basis, count, quad)
+        return coefficient_matrix(phi, psi, basis, count)
 
     key = matrix_key(phi, psi, basis, count)
     path = cache_path(directory, key)
@@ -425,7 +363,7 @@ def cached_coefficient_matrix(
             return _result(CoefficientMatrix, entries, basis, (phi.id, psi.id))
         except (CacheKeyError, CacheCorruptError):
             pass
-    result = coefficient_matrix(phi, psi, basis, count, quad)
+    result = coefficient_matrix(phi, psi, basis, count)
     Path(directory).mkdir(parents=True, exist_ok=True)
     cache_store(result.entries, path, key)
     return result

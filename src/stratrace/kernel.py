@@ -27,16 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Interval
-from .quadrature import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
-    gauss_rule,
-    integrand_rule,
-    nodes_for,
-    scaled_segments,
-)
+from .quadrature import gauss_rule, integrand_rule, nodes_for, scaled_segments
 from .reports import TraceReport
-from .weights import WeightFunction
+from .weights import WeightFunction, _integer
 
 __all__ = [
     "Kernel",
@@ -207,11 +200,7 @@ class _IntegerPair(Kernel):
 
     def __post_init__(self):
         for name in ("n", "m"):
-            value = getattr(self, name)
-            # a bool is an int to Python, but no exponent or frequency
-            if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
 
     @property
     def id(self):
@@ -283,9 +272,13 @@ def evaluate_kernel(spec: Kernel, t, tau):
     return out
 
 
-def _box_nodes(spec: Kernel, eps: float, base_nodes: int) -> int:
+# least Gauss nodes per box panel, in both variables
+_BOX_NODES = 24
+
+
+def _box_nodes(spec: Kernel, eps: float) -> int:
     local_phase = spec.phase * (2.0 * eps) / spec.interval.length
-    return nodes_for(DEFAULT_QUADRATURE, 2 * spec.degree + 1, local_phase, floor=base_nodes)
+    return nodes_for(2 * spec.degree + 1, local_phase, floor=_BOX_NODES)
 
 
 def _check_eps(interval: Interval, eps: float) -> None:
@@ -323,7 +316,7 @@ def _nonempty(a, b):
     return a[:, keep], b[:, keep]
 
 
-def averaging(spec: Kernel, eps: float, t, tau, nodes: int = 24):
+def averaging(spec: Kernel, eps: float, t, tau):
     """Box average of the zero-extended kernel over the eps-box around (t, tau).
 
     `t` and `tau` may be arrays, broadcast together; the result has their
@@ -331,6 +324,9 @@ def averaging(spec: Kernel, eps: float, t, tau, nodes: int = 24):
     Every point is averaged with its own panels and the same summation order
     whether it comes alone or in a batch, so its value does not depend on the
     batch: `diagonal_trace` averages all nodes of an eps rule in one call.
+    Each panel of a box gets the same Gauss rule in both variables: at least
+    24 nodes, more where the kernel's degree or its oscillation across the
+    box demands them.
     """
     iv = spec.interval
     _check_eps(iv, eps)
@@ -344,7 +340,7 @@ def averaging(spec: Kernel, eps: float, t, tau, nodes: int = 24):
     live = np.flatnonzero((th_lo < th_hi) & (vt_lo < vt_hi))
     th_lo, th_hi, vt_lo, vt_hi = th_lo[live], th_hi[live], vt_lo[live], vt_hi[live]
 
-    n = _box_nodes(spec, eps, nodes)
+    n = _box_nodes(spec, eps)
     ref_x, ref_w = gauss_rule(n)
     bps = spec.breakpoints
     breakpoints = np.broadcast_to(bps, (len(live), len(bps)))
@@ -393,9 +389,9 @@ def default_eps_schedule(interval: Interval, k_min: int = 3, k_max: int = 12):
     return [interval.length * 2.0 ** (-k) for k in range(k_min, k_max + 1)]
 
 
-def _diagonal_integral(spec: Kernel, quad: QuadratureConfig):
+def _diagonal_integral(spec: Kernel):
     """int f(t, t) dt, the limit every trace route of a kernel aims at."""
-    rule = integrand_rule(spec.interval, quad, (spec, spec))
+    rule = integrand_rule(spec.interval, (spec, spec))
     value = rule.integrate(spec.evaluate(rule.x, rule.x))
     return complex(value) if spec.is_complex else float(value)
 
@@ -403,7 +399,6 @@ def _diagonal_integral(spec: Kernel, quad: QuadratureConfig):
 def diagonal_trace(
     spec: Kernel,
     eps_schedule=None,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
     tol: float = 1e-4,
 ) -> TraceReport:
     """Integral of the box-averaged kernel along the diagonal, per eps.
@@ -423,14 +418,14 @@ def diagonal_trace(
     for eps in eps_schedule:
         _check_eps(iv, eps)
 
-    target = _diagonal_integral(spec, quad)
+    target = _diagonal_integral(spec)
     sums = []
     for eps in eps_schedule:
         # the box average is smooth along the diagonal except where a box edge
         # crosses the square's edge or a kernel breakpoint g
         kinks = np.concatenate([[iv.t0 + eps, iv.T - eps],
                                 spec.breakpoints - eps, spec.breakpoints + eps])
-        rule = integrand_rule(iv, quad, (spec, spec), integrals=2, breakpoints=kinks)
+        rule = integrand_rule(iv, (spec, spec), integrals=2, breakpoints=kinks)
         s = rule.integrate(averaging(spec, eps, rule.x, rule.x))
         sums.append(complex(s) if spec.is_complex else float(s))
 
@@ -514,19 +509,15 @@ def explicit_factor_pair(spec: Kernel) -> FactorPair:
     raise ValueError(f"no closed-form factor pair for kernel kind {type(spec).__name__}")
 
 
-def factorization_residual(
-    spec: Kernel,
-    pair: FactorPair | None = None,
-    sample_grid: int = 32,
-    nodes: int | None = None,
-) -> float:
-    """max over a lattice of |f(t,tau) - int f1 f2 dxi - remainder(t,tau)|,
-    with the xi-integral evaluated numerically."""
-    if pair is None:
-        pair = explicit_factor_pair(spec)
+def factorization_residual(spec: Kernel) -> float:
+    """max over a 32 x 32 lattice of |f(t,tau) - int f1 f2 dxi - remainder(t,tau)|
+    for the kind's `explicit_factor_pair`, with the xi-integral done by a
+    Gauss rule of at least 8 nodes that is exact for the pair's xi-degree and
+    resolves its xi-oscillation."""
+    pair = explicit_factor_pair(spec)
     iv = spec.interval
-    if nodes is None:
-        nodes = nodes_for(DEFAULT_QUADRATURE, pair.xi_degree, pair.xi_phase, floor=8)
+    nodes = nodes_for(pair.xi_degree, pair.xi_phase, floor=8)
+    sample_grid = 32
 
     t = np.linspace(iv.t0, iv.T, sample_grid)
     tau = np.linspace(iv.t0, iv.T, sample_grid)
@@ -535,10 +526,8 @@ def factorization_residual(
 
     if pair.support == "below_min":
         lo, hi = iv.t0, np.minimum(T_grid, Tau_grid)
-    elif pair.support == "above_max":
-        lo, hi = np.maximum(T_grid, Tau_grid), iv.T
     else:
-        raise ValueError(f"unsupported factor-pair support {pair.support!r}")
+        lo, hi = np.maximum(T_grid, Tau_grid), iv.T
 
     y, v = scaled_segments(np.broadcast_to(lo, (sample_grid, sample_grid)),
                            np.broadcast_to(hi, (sample_grid, sample_grid)), nodes)

@@ -5,8 +5,10 @@ integrand's breakpoints (dyadic Haar edges, tabulated-weight grids), one panel
 per smooth piece, and an oscillatory integrand (phase > 0) also gets a uniform
 split into OSCILLATORY_PANELS panels.  The per-panel node count is the least
 that makes the rule exact for the declared polynomial degree and resolves the
-declared oscillation; refusal to meet a demand raises instead of silently
-degrading.
+declared oscillation; a demand beyond MAX_NODES_PER_PANEL nodes per panel
+raises `QuadratureError` instead of silently degrading.  The cap and
+OSCILLATORY_PANELS are module constants, so no engine takes a quadrature
+argument.
 
 Engines get their rules from one builder, `integrand_rule`: they list their
 integrand's factors (weights, a kernel once per variable, basis blocks from
@@ -30,7 +32,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "QuadratureConfig",
     "QuadratureError",
     "CompositeRule",
     "Factor",
@@ -47,15 +48,8 @@ class QuadratureError(RuntimeError):
     """A rule could not meet its accuracy demand within the node cap."""
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Limits on the rules the integrands demand: a demand of more than
-    `max_nodes_per_panel` Gauss nodes per panel is refused."""
-
-    max_nodes_per_panel: int = 4096
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+# per-panel node cap: a demand of more Gauss nodes per panel is refused
+MAX_NODES_PER_PANEL = 4096
 # uniform panels of an oscillatory rule; `nodes_for` sizes each panel for the
 # sweep across it
 OSCILLATORY_PANELS = 16
@@ -76,8 +70,7 @@ def gauss_rule(n: int):
     return _leggauss(int(n))
 
 
-def nodes_for(config: QuadratureConfig, degree: int = 0, phase: float = 0.0,
-              floor: int = 1) -> int:
+def nodes_for(degree: int = 0, phase: float = 0.0, floor: int = 1) -> int:
     """Per-panel node count meeting a polynomial-degree and oscillation demand.
 
     `degree` is the largest total polynomial degree of the integrand on the
@@ -91,9 +84,9 @@ def nodes_for(config: QuadratureConfig, degree: int = 0, phase: float = 0.0,
     if phase > 0.0:
         need += math.ceil(0.67 * float(phase)) + 14
     n = max(floor, need)
-    if n > config.max_nodes_per_panel:
+    if n > MAX_NODES_PER_PANEL:
         raise QuadratureError(
-            f"demand of {n} nodes per panel exceeds cap {config.max_nodes_per_panel} "
+            f"demand of {n} nodes per panel exceeds cap {MAX_NODES_PER_PANEL} "
             f"(degree={degree}, phase={phase:.1f})"
         )
     return n
@@ -145,7 +138,6 @@ class CompositeRule:
 def composite_rule(
     t0: float,
     t1: float,
-    config: QuadratureConfig = DEFAULT_QUADRATURE,
     breakpoints=(),
     degree: int = 0,
     phase: float = 0.0,
@@ -162,7 +154,7 @@ def composite_rule(
     edges = panel_edges(t0, t1, OSCILLATORY_PANELS if phase > 0.0 else 1, breakpoints)
     widths = np.diff(edges)
     panel_phase = phase * widths.max() / (t1 - t0) if phase > 0.0 else 0.0
-    n = nodes_for(config, degree, panel_phase)
+    n = nodes_for(degree, panel_phase)
     ref_x, ref_w = gauss_rule(n)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * widths
@@ -181,8 +173,7 @@ class Factor:
     breakpoints: np.ndarray
 
 
-def integrand_rule(interval, config: QuadratureConfig, factors, integrals: int = 0,
-                   breakpoints=()) -> CompositeRule:
+def integrand_rule(interval, factors, integrals: int = 0, breakpoints=()) -> CompositeRule:
     """Rule over `interval` (anything with `t0` and `T`) for the product of
     `factors` under `integrals` running integrals: degree = sum of degrees +
     integrals, phase = sum of phases, breakpoints = union of all of them."""
@@ -190,8 +181,7 @@ def integrand_rule(interval, config: QuadratureConfig, factors, integrals: int =
     phase = sum(f.phase for f in factors)
     breaks = np.concatenate([np.asarray(breakpoints, dtype=float)]
                             + [np.asarray(f.breakpoints, dtype=float) for f in factors])
-    return composite_rule(interval.t0, interval.T, config, breakpoints=breaks,
-                          degree=degree, phase=phase)
+    return composite_rule(interval.t0, interval.T, breakpoints=breaks, degree=degree, phase=phase)
 
 
 def scaled_segments(lo, hi, inner_nodes: int):

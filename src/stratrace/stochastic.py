@@ -34,7 +34,6 @@ import numpy as np
 
 from .basis import Interval, OrthonormalBasis
 from .coeffs import cached_coefficient_matrix
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .reports import MCReport
 from .trace import inner_product
 from .weights import WeightFunction
@@ -73,7 +72,6 @@ def smooth_path_oracle(
     N: int,
     eta: np.ndarray | None = None,
     mesh: int = 2048,
-    nodes: int = 4,
 ) -> float | np.ndarray:
     """Iterated integral of the truncated smooth path by direct quadrature.
 
@@ -81,10 +79,12 @@ def smooth_path_oracle(
     float, or a stack of draws, shape (draws, N), giving one value per draw.
     The basis is evaluated once at the rule's nodes for all the draws.
 
-    Deliberately self-contained: a uniform composite Gauss rule with its own
-    prefix-sum bookkeeping, sharing no code with the coefficient engine, so a
-    match against the quadratic form checks the whole pipeline.
+    Deliberately self-contained: a uniform composite Gauss rule of 4 nodes
+    on each of `mesh` panels, with its own prefix-sum bookkeeping, sharing no
+    code with the coefficient engine, so a match against the quadratic form
+    checks the whole pipeline.
     """
+    nodes = 4
     iv = basis.interval
     ref_x, ref_w = np.polynomial.legendre.leggauss(nodes)
     edges = np.linspace(iv.t0, iv.T, mesh + 1)
@@ -146,10 +146,19 @@ def brownian_midpoint_oracle(
     for block, start in enumerate(range(0, n_paths, block_paths)):
         stop = min(start + block_paths, n_paths)
         gen = _block_generator(seed, block, _BROWNIAN)
-        dW = sqrt_h * gen.standard_normal((stop - start, mesh))
-        increments = psi_m[None, :] * dW
-        S = np.cumsum(increments, axis=1) - increments
-        samples[start:stop] = np.sum(phi_m[None, :] * (S + 0.5 * increments) * dW, axis=1)
+        # phi (S + increments / 2) dW with the same roundings, built in place
+        # so that a block holds at most dW, S and the increments
+        dW = gen.standard_normal((stop - start, mesh))
+        dW *= sqrt_h
+        increments = psi_m * dW
+        S = np.cumsum(increments, axis=1)
+        S -= increments
+        increments *= 0.5
+        S += increments
+        del increments
+        S *= phi_m
+        S *= dW
+        samples[start:stop] = np.sum(S, axis=1)
 
     mean = float(np.mean(samples))
     var = float(np.var(samples, ddof=1))
@@ -191,7 +200,6 @@ def mc_campaign(
     workers: int = 1,
     oracle_draws: int = 0,
     oracle_mesh: int = 2048,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> MCReport:
     """Monte Carlo study of the truncated iterated integral.
 
@@ -211,7 +219,7 @@ def mc_campaign(
         raise ValueError(f"need at least 2 paths, got {n_paths}")
     if workers < 1:
         raise ValueError(f"need at least 1 worker, got {workers}")
-    matrix = cached_coefficient_matrix(phi, psi, basis, N, quad)
+    matrix = cached_coefficient_matrix(phi, psi, basis, N)
     G = matrix.entries
 
     tasks = [(G, seed, block, same_process) for block in range(-(-n_paths // BLOCK_PATHS))]
@@ -244,7 +252,7 @@ def mc_campaign(
         variance=var,
         ci95=1.96 * math.sqrt(var / n_paths),
         target_trace=target,
-        target_half_inner=0.5 * inner_product(phi, psi, quad),
+        target_half_inner=0.5 * inner_product(phi, psi),
         oracle_rms=oracle_rms,
         seed=seed,
         basis_id=basis.id,

@@ -24,7 +24,7 @@ from .coeffs import (
     volterra_diagonal,
 )
 from .kernel import Kernel, _diagonal_integral, diagonal_trace
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, _running_integral, integrand_rule
+from .quadrature import _running_integral, integrand_rule
 from .reports import TraceReport
 from .weights import PolynomialWeight, WeightFunction
 
@@ -40,16 +40,12 @@ __all__ = [
 ]
 
 
-def inner_product(
-    phi: WeightFunction,
-    psi: WeightFunction,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
+def inner_product(phi: WeightFunction, psi: WeightFunction) -> float:
     """int phi(t) psi(t) dt over the common interval."""
     iv = phi.interval
     if iv != psi.interval:
         raise ValueError("weight functions live on different intervals")
-    rule = integrand_rule(iv, quad, (phi, psi))
+    rule = integrand_rule(iv, (phi, psi))
     return float(rule.integrate(phi(rule.x) * psi(rule.x)))
 
 
@@ -58,13 +54,12 @@ def verify_volterra_trace(
     psi: WeightFunction,
     basis: OrthonormalBasis,
     count: int,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
     tol: float = 1e-3,
 ) -> TraceReport:
     """Diagonal partial sums of G against the limit (phi, psi) / 2."""
-    diag = volterra_diagonal(phi, psi, basis, count, quad)
+    diag = volterra_diagonal(phi, psi, basis, count)
     sums = np.cumsum(diag)
-    target = 0.5 * inner_product(phi, psi, quad)
+    target = 0.5 * inner_product(phi, psi)
     return TraceReport.ladder("volterra-trace", basis.id, (phi.id, psi.id), sums, target, tol)
 
 
@@ -72,7 +67,6 @@ def verify_kernel_trace(
     spec: Kernel,
     basis: OrthonormalBasis,
     count: int,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
     tol: float = 1e-3,
 ) -> TraceReport:
     """Diagonal partial sums of a kernel's expansion matrix against the
@@ -87,9 +81,9 @@ def verify_kernel_trace(
             f"kernel kind {type(spec).__name__} is not certified trace class; "
             "symmetrized and finite-rank kinds are"
         )
-    diag = kernel_diagonal(spec, basis, count, quad)
+    diag = kernel_diagonal(spec, basis, count)
     sums = np.cumsum(diag)
-    target = _diagonal_integral(spec, quad)
+    target = _diagonal_integral(spec)
     return TraceReport.ladder("kernel-trace", basis.id, (spec.id,), sums, target, tol)
 
 
@@ -98,7 +92,6 @@ def two_route_kernel_trace(
     basis: OrthonormalBasis,
     count: int,
     eps_schedule=None,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
     tol: float = 1e-3,
 ) -> TraceReport:
     """Kernel trace computed two independent ways and cross-checked.
@@ -113,8 +106,8 @@ def two_route_kernel_trace(
     rides along in the metadata.  Converged requires BOTH final values
     within `tol` of the shared target.
     """
-    expansion = verify_kernel_trace(spec, basis, count, quad, tol)
-    averaged = diagonal_trace(spec, eps_schedule, quad, tol)
+    expansion = verify_kernel_trace(spec, basis, count, tol)
+    averaged = diagonal_trace(spec, eps_schedule, tol)
     extrapolated = averaged.metadata["extrapolated"]
     gap = abs(expansion.partial_sums[-1] - extrapolated)
     return replace(
@@ -135,7 +128,6 @@ def verify_symmetric_pair_sum(
     psi: WeightFunction,
     basis: OrthonormalBasis,
     count: int,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
     tol: float = 1e-3,
 ) -> TraceReport:
     """Partial sums of G[i, i] + G'[i, i] (pair and swapped pair) against
@@ -157,10 +149,10 @@ def verify_symmetric_pair_sum(
                 f"non-polynomial weight {name} ({w.id}); "
                 "the paired diagonal sum is only certified for polynomial weights"
             )
-    d1 = volterra_diagonal(phi, psi, basis, count, quad)
-    d2 = volterra_diagonal(psi, phi, basis, count, quad)
+    d1 = volterra_diagonal(phi, psi, basis, count)
+    d2 = volterra_diagonal(psi, phi, basis, count)
     sums = np.cumsum(d1 + d2)
-    target = inner_product(phi, psi, quad)
+    target = inner_product(phi, psi)
     return TraceReport.ladder("symmetric-pair-sum", basis.id, (phi.id, psi.id), sums, target, tol)
 
 
@@ -169,7 +161,6 @@ def basis_independence(
     psi: WeightFunction,
     bases: list,
     count: int,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
     tol: float = 2e-3,
 ) -> TraceReport:
     """Diagonal sums at truncation `count` across several bases.
@@ -182,9 +173,9 @@ def basis_independence(
         raise ValueError("need at least one basis")
     sums = []
     for basis in bases:
-        diag = volterra_diagonal(phi, psi, basis, count, quad)
+        diag = volterra_diagonal(phi, psi, basis, count)
         sums.append(float(np.sum(diag)))
-    target = 0.5 * inner_product(phi, psi, quad)
+    target = 0.5 * inner_product(phi, psi)
     spread = max(sums) - min(sums) if len(sums) > 1 else 0.0
     abs_errors = [abs(s - target) for s in sums]
     return TraceReport(
@@ -202,12 +193,12 @@ def basis_independence(
     )
 
 
-def _reduced_limit_vector(w_pair, w_outer, basis, n_reduced, quad, from_left: bool):
+def _reduced_limit_vector(w_pair, w_outer, basis, n_reduced, from_left: bool):
     """Expansion coefficients of (1/2) w_outer(t) R(t) in the basis, where
     R is the running integral of w_pair[0] * w_pair[1] from the left endpoint
     (from_left) or up to the right endpoint."""
     w_a, w_b = w_pair
-    rule = integrand_rule(w_a.interval, quad, (w_a, w_b, w_outer, basis.factor(n_reduced)),
+    rule = integrand_rule(w_a.interval, (w_a, w_b, w_outer, basis.factor(n_reduced)),
                           integrals=1)
     product = w_a(rule.x) * w_b(rule.x)
     running = _running_integral(rule, product)
@@ -226,7 +217,6 @@ def tensor_neighbor_trace(
     basis: OrthonormalBasis,
     pair: tuple = (1, 2),
     n_reduced: int = 8,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
     tol: float = 5e-3,
 ) -> TraceReport:
     """Partial traces of an order-3 tensor over a NEIGHBORING slot pair.
@@ -245,10 +235,10 @@ def tensor_neighbor_trace(
     n_reduced = min(n_reduced, count)
     if pair == (1, 2):
         traced = np.einsum("iik->ik", tensor.entries).cumsum(axis=0)
-        limits = _reduced_limit_vector((w1, w2), w3, basis, n_reduced, quad, from_left=True)
+        limits = _reduced_limit_vector((w1, w2), w3, basis, n_reduced, from_left=True)
     elif pair == (2, 3):
         traced = np.einsum("ijj->ji", tensor.entries).cumsum(axis=0)
-        limits = _reduced_limit_vector((w2, w3), w1, basis, n_reduced, quad, from_left=False)
+        limits = _reduced_limit_vector((w2, w3), w1, basis, n_reduced, from_left=False)
     else:
         raise ValueError(f"pair must be (1, 2) or (2, 3), got {pair}")
 

@@ -57,6 +57,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _integer(name: str, value) -> int:
+    """`value` as an int, refusing floats (even integral ones) and bools: a
+    bool is an int to Python, but no exponent or frequency."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PolynomialWeight(WeightFunction):
     """sum_r coeffs[r] * t**r with plain monomial coefficients."""
@@ -93,7 +101,8 @@ class TrigSumWeight(WeightFunction):
     interval: Interval
 
     def __post_init__(self):
-        norm = tuple((int(k), float(s), float(c)) for (k, s, c) in self.terms)
+        norm = tuple((_integer("trig frequency", k), float(s), float(c))
+                     for (k, s, c) in self.terms)
         if not norm:
             raise ValueError("trig weight needs at least one term")
         if any(k < 0 for (k, _, _) in norm):

@@ -29,9 +29,7 @@ from stratrace import (
     cache_load,
     cache_store,
     cached_coefficient_matrix,
-    coefficient,
     coefficient_matrix,
-    kernel_coefficient,
     kernel_diagonal,
     kernel_matrix,
     matrix_key,
@@ -42,7 +40,7 @@ from stratrace import (
 )
 from stratrace import coeffs as coeffs_module
 from stratrace.coeffs import cache_path
-from stratrace.quadrature import DEFAULT_QUADRATURE, integrand_rule, nodes_for, scaled_segments
+from stratrace.quadrature import integrand_rule, nodes_for, scaled_segments
 
 from conftest import UNIT, make_basis, poly
 
@@ -59,9 +57,9 @@ TRIG = TrigSumWeight(((0, 0.0, 0.5), (1, 1.0, 0.25), (3, -0.5, 0.75)), UNIT)
 
 
 def test_constant_weights_first_diagonal_entry():
-    leg = make_basis("legendre", 4)
-    assert coefficient(ONE, ONE, leg, 0, 0) == pytest.approx(0.5, abs=1e-14)
-    assert coefficient(ONE, ONE, leg, 1, 1) == pytest.approx(0.0, abs=1e-14)
+    entries = coefficient_matrix(ONE, ONE, make_basis("legendre", 4), 2).entries
+    assert entries[0, 0] == pytest.approx(0.5, abs=1e-14)
+    assert entries[1, 1] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_zero_weights_zero_everywhere():
@@ -110,6 +108,7 @@ def test_linear_weight_haar_diagonal_closed_forms():
 
 def test_entries_against_adaptive_dblquad():
     leg = make_basis("legendre", 4)
+    entries = coefficient_matrix(TEE, TSQ, leg, 3).entries
     for i in range(3):
         for j in range(3):
             def integrand(tau, t, i=i, j=j):
@@ -120,21 +119,14 @@ def test_entries_against_adaptive_dblquad():
                 epsabs=1e-12, epsrel=1e-12,
             )
             assert est < 1e-10
-            assert coefficient(TEE, TSQ, leg, i, j) == pytest.approx(oracle, abs=1e-11)
+            assert entries[i, j] == pytest.approx(oracle, abs=1e-11)
 
 
 def test_fourier_entries_against_adaptive_dblquad():
     # (1, 1) with sine/cosine harmonics: G_12 = 1/(2 pi) = -G_21
-    fou = make_basis("fourier", 4)
-    assert coefficient(ONE, ONE, fou, 1, 2) == pytest.approx(1.0 / (2 * np.pi), abs=1e-13)
-    assert coefficient(ONE, ONE, fou, 2, 1) == pytest.approx(-1.0 / (2 * np.pi), abs=1e-13)
-
-
-def test_matrix_and_single_entry_agree():
-    leg = make_basis("legendre", 6)
-    matrix = coefficient_matrix(TEE, TSQ, leg, 6)
-    for i, j in ((0, 0), (2, 3), (5, 1)):
-        assert matrix.entries[i, j] == pytest.approx(coefficient(TEE, TSQ, leg, i, j), abs=1e-15)
+    entries = coefficient_matrix(ONE, ONE, make_basis("fourier", 4), 3).entries
+    assert entries[1, 2] == pytest.approx(1.0 / (2 * np.pi), abs=1e-13)
+    assert entries[2, 1] == pytest.approx(-1.0 / (2 * np.pi), abs=1e-13)
 
 
 def test_submatrix_extension_consistency():
@@ -193,7 +185,7 @@ def test_bessel_bound_and_monotonicity(pc, qc):
 
 def test_symmetrized_kernel_entries():
     leg = make_basis("legendre", 6)
-    assert kernel_coefficient(SymmetrizedVolterra(ONE, ONE), leg, 0, 0) == pytest.approx(1.0, abs=1e-12)
+    assert kernel_matrix(SymmetrizedVolterra(ONE, ONE), leg, 1).entries[0, 0] == pytest.approx(1.0, abs=1e-12)
     f = kernel_matrix(SymmetrizedVolterra(TEE, TSQ), leg, 6)
     g = coefficient_matrix(TEE, TSQ, leg, 6)
     assert np.max(np.abs(f.entries - (g.entries + g.entries.T))) < 1e-10
@@ -203,8 +195,9 @@ def test_symmetrized_kernel_entries():
 def test_min_kernel_entries():
     leg = make_basis("legendre", 6)
     spec = MonomialMin(0, 1, UNIT)
-    assert kernel_coefficient(spec, leg, 0, 0) == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert kernel_coefficient(spec, leg, 0, 1) == pytest.approx(0.25 / np.sqrt(3.0), abs=1e-12)
+    entries = kernel_matrix(spec, leg, 2).entries
+    assert entries[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert entries[0, 1] == pytest.approx(0.25 / np.sqrt(3.0), abs=1e-12)
     diag = kernel_diagonal(spec, leg, 5)
     closed = [1.0 / 3.0] + [0.5 / ((2 * i + 3) * (2 * i - 1)) for i in range(1, 5)]
     assert np.allclose(diag, closed, atol=1e-12)
@@ -217,7 +210,7 @@ def test_min_kernel_against_adaptive_dblquad():
     oracle, est = integrate.dblquad(integrand, 0.0, 1.0, lambda t: 0.0, lambda t: 1.0,
                                     epsabs=1e-12, epsrel=1e-12)
     assert est < 1e-10
-    assert kernel_coefficient(MonomialMin(0, 1, UNIT), leg, 2, 1) == pytest.approx(oracle, abs=1e-11)
+    assert kernel_matrix(MonomialMin(0, 1, UNIT), leg, 3).entries[2, 1] == pytest.approx(oracle, abs=1e-11)
 
 
 def test_complex_kernel_entries_are_complex_and_hermitian_symmetric():
@@ -232,7 +225,7 @@ def test_complex_kernel_entries_are_complex_and_hermitian_symmetric():
     assert f.entries[0, 0].real == pytest.approx(oracle_00, abs=1e-12)
 
 
-def _oracle_kernel_tables(spec, basis, count, quad=DEFAULT_QUADRATURE):
+def _oracle_kernel_tables(spec, basis, count):
     """Outer rule plus Inner[g, j] = int f(x_g, tau) q_j(tau) dtau by Gauss
     quadrature over the square, from kernel values alone: it never sees the
     kernel's factor weights.  Frozen from the library's former kernel route,
@@ -241,9 +234,9 @@ def _oracle_kernel_tables(spec, basis, count, quad=DEFAULT_QUADRATURE):
     in one panel and the one-panel oscillation demand holds for it."""
     iv = spec.interval
     q = basis.factor(count)
-    rule = integrand_rule(iv, quad, (spec, q, spec, q), integrals=1)
+    rule = integrand_rule(iv, (spec, q, spec, q), integrals=1)
     frac = np.diff(rule.edges).max() / iv.length
-    n_in = nodes_for(quad, spec.degree + q.degree, (spec.phase + q.phase) * frac)
+    n_in = nodes_for(spec.degree + q.degree, (spec.phase + q.phase) * frac)
     x = rule.x
     inner = np.zeros((len(x), count), dtype=complex if spec.is_complex else float)
     for a, b in zip(rule.edges[:-1], rule.edges[1:]):

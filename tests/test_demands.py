@@ -1,10 +1,9 @@
 """The quadrature demand of every engine rule, pinned.
 
 Each engine asks `integrand_rule` for one rule per integrand.  These tests
-capture the rules it returns under the default config and pin their per-panel
-node counts and panel edges, so a demand that drifts (a factor dropped or
-doubled, a running integral miscounted, a breakpoint lost) fails here before
-it moves a number.  A rule without oscillation has one panel per breakpoint
+capture the rules it returns and pin their per-panel node counts and panel
+edges, so a demand that drifts (a factor dropped or doubled, a running
+integral miscounted, a breakpoint lost) fails here before it moves a number.  A rule without oscillation has one panel per breakpoint
 interval and exactly the nodes its degree demands; cases of both degree
 parities catch a drift of one degree either way.  An oscillatory rule adds
 the 16 uniform panels (UNIFORM16) to its breakpoints.
@@ -140,7 +139,7 @@ def test_inner_product_demand(rules, phi, psi, expected):
 ])
 def test_reduced_limit_vector_demand(rules, pair, outer, family, n_reduced, expected):
     _check(rules, lambda: _reduced_limit_vector(
-        pair, outer, make_basis(family, n_reduced), n_reduced, quadrature.DEFAULT_QUADRATURE, from_left=True), expected)
+        pair, outer, make_basis(family, n_reduced), n_reduced, from_left=True), expected)
 
 
 @pytest.mark.parametrize("family, count, expected", [
@@ -158,7 +157,7 @@ def test_gram_matrix_demand(rules, family, count, expected):
     (ComplexExponential(1, 3, UNIT), [(16, UNIFORM16)]),
 ])
 def test_diagonal_integral_demand(rules, spec, expected):
-    _check(rules, lambda: _diagonal_integral(spec, quadrature.DEFAULT_QUADRATURE), expected)
+    _check(rules, lambda: _diagonal_integral(spec), expected)
 
 
 @pytest.mark.parametrize("spec, schedule, expected", [

@@ -25,7 +25,7 @@ from stratrace import (
     integrand_rule,
 )
 from stratrace.kernel import _AVERAGING_BLOCK_VALUES, _box_nodes, _check_eps
-from stratrace.quadrature import DEFAULT_QUADRATURE, panel_edges, scaled_segments
+from stratrace.quadrature import panel_edges, scaled_segments
 from stratrace.trace import inner_product
 
 from conftest import UNIT, poly
@@ -298,7 +298,7 @@ def test_diagonal_trace_rejects_a_non_finite_schedule_entry(schedule):
 # -- batched box averaging against the per-point oracle -------------------------
 
 
-def _oracle_averaging(spec, eps, t, tau, nodes=24):
+def _oracle_averaging(spec, eps, t, tau):
     """Box average of one point, frozen as it was when points came one at a
     time; the batched `averaging` must reproduce it bit for bit."""
     iv = spec.interval
@@ -309,7 +309,7 @@ def _oracle_averaging(spec, eps, t, tau, nodes=24):
     if th_hi <= th_lo or vt_hi <= vt_lo:
         return zero
 
-    n = _box_nodes(spec, eps, nodes)
+    n = _box_nodes(spec, eps)
     cuts = [th_lo, th_hi]
     if spec.has_step:
         cuts += [x for x in (vt_lo, vt_hi) if th_lo < x < th_hi]
@@ -407,7 +407,7 @@ def test_a_batch_of_many_chunks_equals_the_oracle():
     tau = np.linspace(-0.1, 1.1, 32)[None, :]
     # a chunk holds at most this many points (of one panel each): 2048 points
     # span over a hundred chunks
-    per_chunk = _AVERAGING_BLOCK_VALUES // _box_nodes(spec, eps, 24) ** 2
+    per_chunk = _AVERAGING_BLOCK_VALUES // _box_nodes(spec, eps) ** 2
     assert t.size * tau.size > 100 * per_chunk
     got = averaging(spec, eps, t, tau)
     assert got.ravel().tolist() == _oracle_grid(spec, eps, t, tau)
@@ -419,8 +419,7 @@ def test_diagonal_trace_equals_the_oracle_ladder(spec):
     sums = []
     for eps in schedule:
         kinks = np.concatenate([[eps, 1.0 - eps], spec.breakpoints - eps, spec.breakpoints + eps])
-        rule = integrand_rule(UNIT, DEFAULT_QUADRATURE, (spec, spec), integrals=2,
-                              breakpoints=kinks)
+        rule = integrand_rule(UNIT, (spec, spec), integrals=2, breakpoints=kinks)
         sums.append(rule.integrate(np.array(_oracle_grid(spec, eps, rule.x, rule.x))))
     e1, e2 = schedule[-2], schedule[-1]
     report = diagonal_trace(spec, schedule)

@@ -59,6 +59,20 @@ def test_trig_validation():
         TrigSumWeight(((-1, 1.0, 0.0),), UNIT)
 
 
+@pytest.mark.parametrize("k", [1.5, 2.7, 2.0, True, np.True_, np.float64(1.0)])
+def test_trig_frequencies_must_be_integers(k):
+    # truncating 1.5 to 1 or True to 1 would give another weight, silently
+    with pytest.raises(ValueError, match="^trig frequency must be an integer"):
+        TrigSumWeight(((0, 0.0, 1.0), (k, 1.0, 0.0)), UNIT)
+
+
+def test_numpy_integer_trig_frequencies_are_plain_integers():
+    w = TrigSumWeight(((np.int64(2), 1.0, 0.0),), UNIT)
+    assert w.id == "trig:2,1.0,0.0"
+    assert type(w.terms[0][0]) is int
+    assert w == TrigSumWeight(((2, 1.0, 0.0),), UNIT)
+
+
 def test_tabulated_interpolates_linearly():
     w = TabulatedWeight(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.0]), UNIT)
     assert w(0.25) == pytest.approx(0.5)
