@@ -23,6 +23,13 @@ of worker processes.  One matrix product per block contracts the draws with
 the coefficient matrix.  Two independent oracles are provided: a standalone
 quadrature of the truncated smooth path, and a midpoint discretization of a
 genuine Brownian path on a fine mesh.
+
+Two kinds of block appear below and must not be confused.  Key blocks (the
+BLOCK_PATHS campaign blocks and the oracle's `_BROWNIAN_BLOCK_VALUES`
+blocks) decide which paths share a generator, so they define the samples.
+Sub-blocks (`_BROWNIAN_ROW_VALUES`, `_ORACLE_PANELS`) only bound the memory
+an oracle holds at once: each is worked through in sequence, and every
+sample is bitwise the same whatever their size.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from .basis import Interval, OrthonormalBasis
 from .coeffs import cached_coefficient_matrix
 from .reports import MCReport
 from .trace import inner_product
-from .weights import WeightFunction
+from .weights import WeightFunction, _integer
 
 __all__ = [
     "smooth_path_oracle",
@@ -47,11 +54,24 @@ __all__ = [
 # paths per block; fixed so that no sample depends on the number of paths or
 # on the worker count
 BLOCK_PATHS = 4096
-# normals held at once by `brownian_midpoint_oracle`: 256 paths at the
-# default mesh, fewer on finer meshes
+# normals per generator key of `brownian_midpoint_oracle` (256 paths at the
+# default mesh, fewer on finer meshes); defines which paths share a stream
 _BROWNIAN_BLOCK_VALUES = 256 * 2 ** 14
+# normals drawn and reduced at once inside a key block; bounds memory only
+_BROWNIAN_ROW_VALUES = 2 ** 18
+# panels of `smooth_path_oracle` whose in-panel partials are built at once;
+# bounds memory only
+_ORACLE_PANELS = 256
 # stream tags of the block generators
 _ZETA, _ETA, _BROWNIAN = 0, 1, 2
+
+
+def _count(name: str, value, least: int) -> int:
+    """`value` as an int of at least `least`; floats and bools are refused."""
+    value = _integer(name, value)
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def _block_generator(master_seed: int, block: int, stream: int) -> np.random.Generator:
@@ -82,8 +102,11 @@ def smooth_path_oracle(
     Deliberately self-contained: a uniform composite Gauss rule of 4 nodes
     on each of `mesh` panels, with its own prefix-sum bookkeeping, sharing no
     code with the coefficient engine, so a match against the quadratic form
-    checks the whole pipeline.
+    checks the whole pipeline.  The in-panel partials are built
+    `_ORACLE_PANELS` panels at a time; that bounds memory and changes no
+    value, since every partial is a sum within its own node.
     """
+    mesh = _count("mesh", mesh, 1)
     nodes = 4
     iv = basis.interval
     ref_x, ref_w = np.polynomial.legendre.leggauss(nodes)
@@ -102,12 +125,18 @@ def smooth_path_oracle(
     # reference rule
     panel_int = ((w * psi(x))[:, None] * values).reshape(mesh, nodes, N).sum(axis=1)
     prefix = np.concatenate([np.zeros((1, N)), np.cumsum(panel_int, axis=0)[:-1]])
-    starts = np.repeat(edges[:-1], nodes)
-    span = x - starts
-    y = (starts[:, None] + span[:, None] * 0.5 * (ref_x[None, :] + 1.0)).ravel()
-    v = (span[:, None] * 0.5 * ref_w[None, :]).ravel() * psi(y)
-    partial = (v[:, None] * basis.evaluate_block(y, N)).reshape(len(x), nodes, N).sum(axis=1)
-    running = np.repeat(prefix, nodes, axis=0) + partial
+    running = np.repeat(prefix, nodes, axis=0)
+    for first in range(0, mesh, _ORACLE_PANELS):
+        stop = min(first + _ORACLE_PANELS, mesh)
+        rows = slice(first * nodes, stop * nodes)
+        starts = np.repeat(edges[first:stop], nodes)
+        span = x[rows] - starts
+        y = (starts[:, None] + span[:, None] * 0.5 * (ref_x[None, :] + 1.0)).ravel()
+        v = (span[:, None] * 0.5 * ref_w[None, :]).ravel() * psi(y)
+        terms = basis.evaluate_block(y, N)
+        terms *= v[:, None]
+        running[rows] += terms.reshape(len(span), nodes, N).sum(axis=1)
+        del terms  # not held while the next chunk's basis block is built
 
     out = (w * phi(x)) @ ((running @ inner_coords.T) * (values @ zeta.T))
     return float(out) if np.ndim(out) == 0 else out
@@ -123,9 +152,13 @@ def brownian_midpoint_oracle(
 ) -> MCReport:
     """Midpoint discretization of the iterated integral on true Brownian paths.
 
-    The increments come in blocks of paths sized to bound memory, one
-    generator per block keyed by (seed, block, 2); a block's rows are its
-    paths, so path k does not depend on `n_paths`.  The update
+    The increments come in key blocks of `_BROWNIAN_BLOCK_VALUES // mesh`
+    paths, one generator per key block keyed by (seed, block, 2); a block's
+    rows are its paths, so path k does not depend on `n_paths`.  Key blocks
+    define the samples.  Inside one, `_BROWNIAN_ROW_VALUES // mesh` paths at
+    a time are drawn from the block's generator in sequence and reduced;
+    these sub-blocks only bound memory, since the draws continue one stream
+    in row order and every reduction runs along a row.  The update
 
         J += phi(t_mid) * (S_k + psi(t_mid) * dW_k / 2) * dW_k,
         S_{k+1} = S_k + psi(t_mid) * dW_k,
@@ -133,6 +166,7 @@ def brownian_midpoint_oracle(
     is the Stratonovich midpoint rule; for constant weights it telescopes
     to W(T)^2 / 2 exactly.
     """
+    mesh = _count("mesh", mesh, 1)
     if n_paths < 2:
         raise ValueError(f"need at least 2 paths, got {n_paths}")
     edges = np.linspace(interval.t0, interval.T, mesh + 1)
@@ -142,23 +176,26 @@ def brownian_midpoint_oracle(
     psi_m = psi(mids)
 
     block_paths = max(1, _BROWNIAN_BLOCK_VALUES // mesh)
+    rows = max(1, min(block_paths, _BROWNIAN_ROW_VALUES // mesh))
     samples = np.empty(n_paths)
     for block, start in enumerate(range(0, n_paths, block_paths)):
         stop = min(start + block_paths, n_paths)
         gen = _block_generator(seed, block, _BROWNIAN)
-        # phi (S + increments / 2) dW with the same roundings, built in place
-        # so that a block holds at most dW, S and the increments
-        dW = gen.standard_normal((stop - start, mesh))
-        dW *= sqrt_h
-        increments = psi_m * dW
-        S = np.cumsum(increments, axis=1)
-        S -= increments
-        increments *= 0.5
-        S += increments
-        del increments
-        S *= phi_m
-        S *= dW
-        samples[start:stop] = np.sum(S, axis=1)
+        for first in range(start, stop, rows):
+            last = min(first + rows, stop)
+            # phi (S + increments / 2) dW with the same roundings, built in
+            # place so that a sub-block holds at most dW, S and the increments
+            dW = gen.standard_normal((last - first, mesh))
+            dW *= sqrt_h
+            increments = psi_m * dW
+            S = np.cumsum(increments, axis=1)
+            S -= increments
+            increments *= 0.5
+            S += increments
+            del increments
+            S *= phi_m
+            S *= dW
+            samples[first:last] = np.sum(S, axis=1)
 
     mean = float(np.mean(samples))
     var = float(np.var(samples, ddof=1))
@@ -219,6 +256,8 @@ def mc_campaign(
         raise ValueError(f"need at least 2 paths, got {n_paths}")
     if workers < 1:
         raise ValueError(f"need at least 1 worker, got {workers}")
+    oracle_draws = _count("oracle_draws", oracle_draws, 0)
+    oracle_mesh = _count("oracle_mesh", oracle_mesh, 1)
     matrix = cached_coefficient_matrix(phi, psi, basis, N)
     G = matrix.entries
 

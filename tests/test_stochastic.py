@@ -6,16 +6,21 @@ stream, so failures are reproducible rather than flaky.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stratrace import (
+    TabulatedWeight,
+    TrigSumWeight,
     brownian_midpoint_oracle,
     coefficient_matrix,
     mc_campaign,
     smooth_path_oracle,
+    stochastic,
 )
+from stratrace.reports import jsonable
 from stratrace.stochastic import _ETA, _ZETA, BLOCK_PATHS, _block_normals, _simulate_block
 
 from conftest import UNIT, make_basis, poly
@@ -158,6 +163,160 @@ def test_brownian_oracle_needs_paths():
         brownian_midpoint_oracle(ONE, ONE, UNIT, seed=7, n_paths=1)
 
 
+def test_brownian_oracle_validates_the_mesh():
+    for mesh in (0, -4, 2.0, True, "64"):
+        with pytest.raises(ValueError, match="mesh"):
+            brownian_midpoint_oracle(ONE, ONE, UNIT, seed=7, n_paths=10, mesh=mesh)
+
+
+# -- oracles in sub-blocks: bit for bit what whole blocks gave ---------------------
+
+
+def _oracle_brownian_samples(phi, psi, interval, seed, n_paths, mesh):
+    """Samples of `brownian_midpoint_oracle`, frozen as they were computed
+    when each key block of paths was drawn and reduced whole; the
+    sub-blocked oracle must reproduce them bit for bit."""
+    edges = np.linspace(interval.t0, interval.T, mesh + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    sqrt_h = math.sqrt(interval.length / mesh)
+    phi_m = phi(mids)
+    psi_m = psi(mids)
+    block_paths = max(1, 256 * 2 ** 14 // mesh)
+    samples = np.empty(n_paths)
+    for block, start in enumerate(range(0, n_paths, block_paths)):
+        stop = min(start + block_paths, n_paths)
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block, 2))))
+        dW = gen.standard_normal((stop - start, mesh))
+        dW *= sqrt_h
+        increments = psi_m * dW
+        S = np.cumsum(increments, axis=1)
+        S -= increments
+        increments *= 0.5
+        S += increments
+        del increments
+        S *= phi_m
+        S *= dW
+        samples[start:stop] = np.sum(S, axis=1)
+    return samples
+
+
+def _oracle_smooth_path(phi, psi, basis, zeta, N, eta=None, mesh=2048):
+    """`smooth_path_oracle` frozen as it was when the in-panel partials of
+    all panels were built as one array."""
+    nodes = 4
+    iv = basis.interval
+    ref_x, ref_w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(iv.t0, iv.T, mesh + 1)
+    h = (iv.T - iv.t0) / mesh
+    x = (edges[:-1, None] + 0.5 * h * (ref_x[None, :] + 1.0)).ravel()
+    w = np.tile(0.5 * h * ref_w, mesh)
+    zeta = np.asarray(zeta, dtype=float)[..., :N]
+    inner_coords = zeta if eta is None else np.asarray(eta, dtype=float)[..., :N]
+    values = basis.evaluate_block(x, N)
+    panel_int = ((w * psi(x))[:, None] * values).reshape(mesh, nodes, N).sum(axis=1)
+    prefix = np.concatenate([np.zeros((1, N)), np.cumsum(panel_int, axis=0)[:-1]])
+    starts = np.repeat(edges[:-1], nodes)
+    span = x - starts
+    y = (starts[:, None] + span[:, None] * 0.5 * (ref_x[None, :] + 1.0)).ravel()
+    v = (span[:, None] * 0.5 * ref_w[None, :]).ravel() * psi(y)
+    partial = (v[:, None] * basis.evaluate_block(y, N)).reshape(len(x), nodes, N).sum(axis=1)
+    running = np.repeat(prefix, nodes, axis=0) + partial
+    out = (w * phi(x)) @ ((running @ inner_coords.T) * (values @ zeta.T))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+P3 = poly(1.0, -1.0, 0.0, 2.0)
+P2 = poly(0.5, 0.0, 1.0)
+_GRID = np.linspace(0.0, 1.0, 17)
+TABLE = TabulatedWeight(_GRID, np.cos(3.0 * _GRID) + _GRID**2, UNIT)
+TRIG = TrigSumWeight(((0, 0.0, 0.5), (1, 1.0, 0.25), (3, -0.5, 0.75)), UNIT)
+ORACLE_WEIGHTS = {"poly": (P3, P2), "trig": (TRIG, P3), "table": (TABLE, TRIG)}
+
+
+# (paths, mesh): key and sub-block boundaries crossed, a last sub-block cut
+# short, one sub-block per key block, and one path per sub-block (mesh 2**19)
+@pytest.mark.parametrize("n_paths, mesh", [(300, 2 ** 14), (7, 2 ** 14), (1000, 1024),
+                                           (5, 3), (20, 2 ** 15), (9, 2 ** 19)])
+def test_brownian_oracle_equals_the_whole_block_samples(n_paths, mesh):
+    report = brownian_midpoint_oracle(P3, P2, UNIT, seed=11, n_paths=n_paths, mesh=mesh)
+    samples = _oracle_brownian_samples(P3, P2, UNIT, 11, n_paths, mesh)
+    assert report.mean.hex() == float(np.mean(samples)).hex()
+    assert report.variance.hex() == float(np.var(samples, ddof=1)).hex()
+
+
+@pytest.mark.parametrize("family, N", [("legendre", 16), ("fourier", 17), ("haar", 16)])
+@pytest.mark.parametrize("weights", sorted(ORACLE_WEIGHTS))
+def test_smooth_path_oracle_equals_the_whole_array_partials(family, N, weights):
+    basis = make_basis(family, N)
+    phi, psi = ORACLE_WEIGHTS[weights]
+    zeta = _block_normals(5, 0, _ZETA, N)[:, :4].T
+    eta = _block_normals(5, 0, _ETA, N)[:, :4].T
+    for mesh in (3, 1000, 2048):
+        for inner in (None, eta):
+            got = smooth_path_oracle(phi, psi, basis, zeta, N, eta=inner, mesh=mesh)
+            assert np.array_equal(got, _oracle_smooth_path(phi, psi, basis, zeta, N, inner, mesh))
+
+
+@pytest.mark.parametrize("rows", ["one path", "whole key block"])
+def test_brownian_oracle_identical_across_sub_block_sizes(monkeypatch, rows):
+    default = brownian_midpoint_oracle(P3, P2, UNIT, seed=11, n_paths=300, mesh=2 ** 14)
+    values = 1 if rows == "one path" else stochastic._BROWNIAN_BLOCK_VALUES
+    monkeypatch.setattr(stochastic, "_BROWNIAN_ROW_VALUES", values)
+    report = brownian_midpoint_oracle(P3, P2, UNIT, seed=11, n_paths=300, mesh=2 ** 14)
+    assert report == default
+    assert jsonable(report) == jsonable(default)
+
+
+@pytest.mark.parametrize("panels", ["one panel", "whole mesh"])
+def test_smooth_path_oracle_identical_across_chunk_sizes(monkeypatch, panels):
+    leg = make_basis("legendre", 16)
+    zeta = _block_normals(5, 0, _ZETA, 16)[:, :4].T
+
+    def run():
+        report = mc_campaign(P3, P2, leg, 16, n_paths=100, seed=3, same_process=False,
+                             oracle_draws=4, oracle_mesh=1000)
+        return report, smooth_path_oracle(P3, P2, leg, zeta, 16, mesh=1000)
+
+    default, values = run()
+    monkeypatch.setattr(stochastic, "_ORACLE_PANELS", 1 if panels == "one panel" else 1000)
+    report, chunked = run()
+    assert report == default
+    assert jsonable(report) == jsonable(default)
+    assert np.array_equal(chunked, values)
+
+
+def _traced_peak(call):
+    """Peak bytes traced while `call` runs, after one warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_brownian_oracle_allocation_budget():
+    # whole key blocks of 256 paths x 2**14 held about 96.5 MiB at once
+    peak = _traced_peak(lambda: brownian_midpoint_oracle(P3, P2, UNIT, seed=11, n_paths=300))
+    assert peak < 16 * 2 ** 20
+
+
+def test_smooth_path_oracle_allocation_budget():
+    # whole-array partials of 2048 panels held about 39.4 MiB at once
+    leg = make_basis("legendre", 64)
+    zeta = _block_normals(5, 0, _ZETA, 64)[:, :4].T
+    peak = _traced_peak(lambda: smooth_path_oracle(P3, P2, leg, zeta, 64, mesh=2048))
+    assert peak < 24 * 2 ** 20
+
+
+def test_smooth_path_oracle_validates_the_mesh():
+    leg = make_basis("legendre", 4)
+    for mesh in (0, -4, 2.0, True):
+        with pytest.raises(ValueError, match="mesh"):
+            smooth_path_oracle(ONE, ONE, leg, np.ones(4), 4, mesh=mesh)
+
+
 # -- Monte Carlo campaigns ---------------------------------------------------------
 
 
@@ -198,6 +357,12 @@ def test_campaign_validates_arguments():
         mc_campaign(ONE, ONE, leg, 4, n_paths=1, seed=0)
     with pytest.raises(ValueError, match="at least 1 worker"):
         mc_campaign(ONE, ONE, leg, 4, n_paths=200, seed=0, workers=0)
+    for mesh in (0, -4, 2.0, True):
+        with pytest.raises(ValueError, match="oracle_mesh"):
+            mc_campaign(ONE, ONE, leg, 4, n_paths=200, seed=0, oracle_draws=2, oracle_mesh=mesh)
+    for draws in (-3, 1.0, True):
+        with pytest.raises(ValueError, match="oracle_draws"):
+            mc_campaign(ONE, ONE, leg, 4, n_paths=200, seed=0, oracle_draws=draws)
 
 
 @pytest.mark.parametrize("n_paths", [2, 3, 4097, 5000])
