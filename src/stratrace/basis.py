@@ -49,6 +49,14 @@ class Interval:
         return f"[{self.t0:g},{self.T:g}]"
 
 
+def _integer(name: str, value) -> int:
+    """`value` as an int, refusing floats (even integral ones) and bools: a
+    bool is an int to Python, but no index, count, exponent or frequency."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -62,6 +70,8 @@ class OrthonormalBasis:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown basis family {self.family!r}, expected one of {FAMILIES}")
+        # a plain int: np.int64(7) becomes 7 and 7.0 is refused, so one basis has one id
+        object.__setattr__(self, "max_index", _integer("max_index", self.max_index))
         if self.max_index < 0:
             raise ValueError(f"max_index must be >= 0, got {self.max_index}")
         if self.family == "haar" and not _is_power_of_two(self.max_index + 1):
@@ -162,40 +172,77 @@ class OrthonormalBasis:
         return out
 
     def _fourier_block(self, t, count, antiderivative):
+        """Constant, then sin/cos harmonic pairs of frequency k = 1, 2, ...
+
+        The angles 2 pi k u of every sine column are formed at once in the
+        output's own sine columns; the cosine columns take their function of
+        the first (count - 1) // 2 of them, then the sine columns are turned
+        into theirs in place, so no array of the output's size is allocated
+        beside it.
+        Every entry is the same expression, rounded the same way, as a
+        column-by-column evaluation.
+        """
         t0, length = self.interval.t0, self.interval.length
         u = (t - t0) / length
         out = np.empty((len(t), count))
         out[:, 0] = (t - t0) / np.sqrt(length) if antiderivative else 1.0 / np.sqrt(length)
-        amp = np.sqrt(2.0 / length)
-        for i in range(1, count):
-            k = (i + 1) // 2
-            ang = 2.0 * np.pi * k * u
-            if i % 2 == 1:  # sine harmonic
-                out[:, i] = (np.sqrt(2.0 * length) * (1.0 - np.cos(ang)) / (2.0 * np.pi * k)
-                             if antiderivative else amp * np.sin(ang))
-            else:  # cosine harmonic
-                out[:, i] = (np.sqrt(2.0 * length) * np.sin(ang) / (2.0 * np.pi * k)
-                             if antiderivative else amp * np.cos(ang))
+        sines, cosines = out[:, 1::2], out[:, 2::2]
+        omega = 2.0 * np.pi * np.arange(1, sines.shape[1] + 1)
+        np.multiply(u[:, None], omega, out=sines)
+        # a cosine column holds cos of its angle, or sin for Q; a sine column the other
+        first, second = (np.sin, np.cos) if antiderivative else (np.cos, np.sin)
+        first(sines[:, :cosines.shape[1]], out=cosines)
+        second(sines, out=sines)
+        if not antiderivative:
+            out[:, 1:] *= np.sqrt(2.0 / length)
+            return out
+        # Q of sin is sqrt(2L) (1 - cos) / (2 pi k), Q of cos is sqrt(2L) sin / (2 pi k)
+        np.subtract(1.0, sines, out=sines)
+        out[:, 1:] *= np.sqrt(2.0 * length)
+        sines /= omega
+        cosines /= omega[:cosines.shape[1]]
         return out
 
     def _haar_block(self, t, count, antiderivative):
+        """Constant, then the wavelets of level 0, 1, ..., filled level by level.
+
+        Wavelet k of level l lives on the closed dyadic interval
+        [k, k + 1] / 2^l (in s = (t - t0) / L) and is amp = 2^(l/2) / sqrt(L)
+        on its left half and -amp on its right half.  At level l a point
+        with y = s 2^l belongs to wavelet k = floor(y), at x = y - k, and a
+        point on a shared edge (x == 0) also to wavelet k - 1, at x = 1.
+        A point in the slack just outside [t0, T] belongs to no wavelet.
+        Outside its support a wavelet and its antiderivative are exactly 0
+        (the antiderivative rises and falls back to 0 at x = 1), so only
+        these entries are written into the zeroed output: O(points log N)
+        work beyond the zero fill, instead of O(points N).  Each entry is
+        the expression a column-by-column evaluation gives it, bit for bit.
+        """
         t0, length = self.interval.t0, self.interval.length
         s = (t - t0) / length
         out = np.zeros((len(t), count))
         out[:, 0] = (t - t0) / np.sqrt(length) if antiderivative else 1.0 / np.sqrt(length)
-        for i in range(1, count):
-            level = int(np.floor(np.log2(i)))
-            k = i - (1 << level)
-            x = s * (1 << level) - k  # wavelet-local coordinate in [0, 1]
+        level = 0
+        while (1 << level) < count:
+            first = 1 << level  # column of wavelet 0 of this level
+            wavelets = min(first, count - first)  # the last level may be cut
+            y = s * first
+            k = np.floor(y)
+            x = y - k  # wavelet-local coordinate in [0, 1)
             amp = (2.0 ** (0.5 * level)) / np.sqrt(length)
+            own = np.flatnonzero((k >= 0.0) & (k < wavelets))
+            cols = first + k[own].astype(np.intp)
             if not antiderivative:
-                inside = (x >= 0.0) & (x <= 1.0)
-                out[:, i] = np.where(inside, np.where(x < 0.5, amp, -amp), 0.0)
+                out[own, cols] = np.where(x[own] < 0.5, amp, -amp)
+                # the right end x = 1 of wavelet k - 1 (its antiderivative is 0 there)
+                edge = np.flatnonzero((x == 0.0) & (k >= 1.0) & (k <= wavelets))
+                out[edge, first - 1 + k[edge].astype(np.intp)] = -amp
             else:
                 half = length / (1 << (level + 1))  # half-support width in t units
-                rise = np.clip(x, 0.0, 0.5) * 2.0 * half
-                fall = (np.clip(x, 0.5, 1.0) - 0.5) * 2.0 * half
-                out[:, i] = amp * (rise - fall)
+                rise = np.clip(x[own], 0.0, 0.5) * 2.0 * half
+                fall = (np.clip(x[own], 0.5, 1.0) - 0.5) * 2.0 * half
+                out[own, cols] = amp * (rise - fall)
+            level += 1
         return out
 
 

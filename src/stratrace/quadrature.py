@@ -232,7 +232,9 @@ def _running_integral(rule: CompositeRule, values: np.ndarray) -> np.ndarray:
     """
     n = rule.nodes_per_panel
     per_panel = rule.panel_sums(values)
-    prefix = np.concatenate([np.zeros_like(per_panel[:1]), np.cumsum(per_panel, axis=0)[:-1]])
+    prefix = np.empty_like(per_panel)
+    prefix[0] = 0.0
+    np.cumsum(per_panel[:-1], axis=0, out=prefix[1:])
     inside = _integration_matrix(n) @ values.reshape(rule.panels, n, -1)
     # built in place: the tensor's mid level alone holds G * count^2 values
     inside *= 0.5 * np.diff(rule.edges)[:, None, None]

@@ -39,11 +39,11 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .basis import Interval, OrthonormalBasis
+from .basis import Interval, OrthonormalBasis, _integer
 from .coeffs import cached_coefficient_matrix
 from .reports import MCReport
 from .trace import inner_product
-from .weights import WeightFunction, _integer
+from .weights import WeightFunction
 
 __all__ = [
     "smooth_path_oracle",
@@ -72,6 +72,14 @@ def _count(name: str, value, least: int) -> int:
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
     return value
+
+
+def _paths(n_paths) -> int:
+    """`n_paths` as an int of at least 2, the fewest with a sample variance."""
+    n_paths = _integer("n_paths", n_paths)
+    if n_paths < 2:
+        raise ValueError(f"need at least 2 paths, got {n_paths}")
+    return n_paths
 
 
 def _block_generator(master_seed: int, block: int, stream: int) -> np.random.Generator:
@@ -167,8 +175,7 @@ def brownian_midpoint_oracle(
     to W(T)^2 / 2 exactly.
     """
     mesh = _count("mesh", mesh, 1)
-    if n_paths < 2:
-        raise ValueError(f"need at least 2 paths, got {n_paths}")
+    n_paths = _paths(n_paths)
     edges = np.linspace(interval.t0, interval.T, mesh + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     sqrt_h = math.sqrt(interval.length / mesh)
@@ -216,14 +223,23 @@ def brownian_midpoint_oracle(
     )
 
 
+def _block_draws(master_seed: int, block: int, same_process: bool, n: int):
+    """zeta of one block and the noise of its inner layer (zeta itself for
+    the same noise), each drawn once."""
+    zeta = _block_normals(master_seed, block, _ZETA, n)
+    return zeta, zeta if same_process else _block_normals(master_seed, block, _ETA, n)
+
+
+def _block_samples(G: np.ndarray, zeta: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """zeta_p^T G inner_p for every path p of a block, from one matrix product."""
+    return np.einsum("ip,ip->p", G.T @ zeta, inner)
+
+
 def _simulate_block(args) -> np.ndarray:
-    """Samples of all BLOCK_PATHS paths of one block, from one matrix
-    product; module level so worker processes can unpickle it."""
+    """Samples of all BLOCK_PATHS paths of one block; module level so worker
+    processes can unpickle it."""
     G, master_seed, block, same_process = args
-    n = G.shape[0]
-    Z = _block_normals(master_seed, block, _ZETA, n)
-    right = Z if same_process else _block_normals(master_seed, block, _ETA, n)
-    return np.einsum("ip,ip->p", G.T @ Z, right)
+    return _block_samples(G, *_block_draws(master_seed, block, same_process, G.shape[0]))
 
 
 def mc_campaign(
@@ -252,8 +268,8 @@ def mc_campaign(
     samples of block 0 are recomputed through `smooth_path_oracle` and the
     root-mean-square discrepancy is attached to the report.
     """
-    if n_paths < 2:
-        raise ValueError(f"need at least 2 paths, got {n_paths}")
+    n_paths = _paths(n_paths)
+    workers = _integer("workers", workers)
     if workers < 1:
         raise ValueError(f"need at least 1 worker, got {workers}")
     oracle_draws = _count("oracle_draws", oracle_draws, 0)
@@ -261,20 +277,22 @@ def mc_campaign(
     matrix = cached_coefficient_matrix(phi, psi, basis, N)
     G = matrix.entries
 
-    tasks = [(G, seed, block, same_process) for block in range(-(-n_paths // BLOCK_PATHS))]
+    tasks = [(G, seed, block, same_process) for block in range(1, -(-n_paths // BLOCK_PATHS))]
     if workers == 1:
-        blocks = [_simulate_block(t) for t in tasks]
+        later = [_simulate_block(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_simulate_block, tasks))
-    samples = np.concatenate(blocks)[:n_paths]
+            later = list(pool.map(_simulate_block, tasks))
+    # block 0 comes last and in this process, so that the oracle takes the
+    # first columns of its draws and no other block's draws are still held
+    zeta, inner = _block_draws(seed, 0, same_process, N)
+    samples = np.concatenate([_block_samples(G, zeta, inner)] + later)[:n_paths]
 
     oracle_rms = None
     if oracle_draws > 0:
         draws = min(oracle_draws, n_paths, BLOCK_PATHS)
-        zeta = _block_normals(seed, 0, _ZETA, N)[:, :draws].T
-        eta = None if same_process else _block_normals(seed, 0, _ETA, N)[:, :draws].T
-        ref = smooth_path_oracle(phi, psi, basis, zeta, N, eta=eta, mesh=oracle_mesh)
+        eta = None if same_process else inner[:, :draws].T
+        ref = smooth_path_oracle(phi, psi, basis, zeta[:, :draws].T, N, eta=eta, mesh=oracle_mesh)
         oracle_rms = float(np.sqrt(np.mean((samples[:draws] - ref) ** 2)))
 
     if same_process:

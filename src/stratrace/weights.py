@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Interval
+from .basis import Interval, _integer
 
 __all__ = [
     "WeightFunction",
@@ -55,14 +55,6 @@ class WeightFunction:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
-
-
-def _integer(name: str, value) -> int:
-    """`value` as an int, refusing floats (even integral ones) and bools: a
-    bool is an int to Python, but no exponent or frequency."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

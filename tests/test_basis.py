@@ -1,5 +1,7 @@
 """Basis families: orthonormality, closed-form antiderivatives, validation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +93,18 @@ def test_haar_antiderivative_slope_inside_constant_pieces():
         assert fd == pytest.approx(basis.evaluate(i, t), abs=1e-8)
 
 
+def test_max_index_must_be_an_integer():
+    for value in (7.0, True, "7", None):
+        with pytest.raises(ValueError, match="max_index"):
+            OrthonormalBasis("legendre", UNIT, value)
+    with pytest.raises(ValueError, match="max_index"):
+        OrthonormalBasis("haar", UNIT, 7.0)
+    basis = OrthonormalBasis("legendre", UNIT, np.int64(7))
+    assert type(basis.max_index) is int and type(basis.size) is int
+    assert basis == OrthonormalBasis("legendre", UNIT, 7)
+    assert basis.id == "legendre[0,1]:n7"
+
+
 def test_haar_count_must_be_power_of_two():
     with pytest.raises(ValueError):
         OrthonormalBasis("haar", UNIT, 8)  # nine functions
@@ -145,3 +159,89 @@ def test_haar_breakpoints_are_dyadic():
     assert np.allclose(basis.breakpoints(8), np.arange(1, 8) / 8.0)
     assert basis.breakpoints(1).size == 0
     assert make_basis("legendre", 8).breakpoints(8).size == 0
+
+
+# -- blocks at array speed: bit for bit the per-column loops ------------------------
+
+
+def _oracle_fourier_block(interval, t, count, antiderivative):
+    """The Fourier block one column at a time, frozen: the reference the
+    in-place block must equal bit for bit."""
+    t0, length = interval.t0, interval.length
+    u = (t - t0) / length
+    out = np.empty((len(t), count))
+    out[:, 0] = (t - t0) / np.sqrt(length) if antiderivative else 1.0 / np.sqrt(length)
+    amp = np.sqrt(2.0 / length)
+    for i in range(1, count):
+        k = (i + 1) // 2
+        ang = 2.0 * np.pi * k * u
+        if i % 2 == 1:  # sine harmonic
+            out[:, i] = (np.sqrt(2.0 * length) * (1.0 - np.cos(ang)) / (2.0 * np.pi * k)
+                         if antiderivative else amp * np.sin(ang))
+        else:  # cosine harmonic
+            out[:, i] = (np.sqrt(2.0 * length) * np.sin(ang) / (2.0 * np.pi * k)
+                         if antiderivative else amp * np.cos(ang))
+    return out
+
+
+def _oracle_haar_block(interval, t, count, antiderivative):
+    """The Haar block one column at a time over all points, frozen: the
+    reference the level-by-level fill must equal bit for bit."""
+    t0, length = interval.t0, interval.length
+    s = (t - t0) / length
+    out = np.zeros((len(t), count))
+    out[:, 0] = (t - t0) / np.sqrt(length) if antiderivative else 1.0 / np.sqrt(length)
+    for i in range(1, count):
+        level = int(np.floor(np.log2(i)))
+        k = i - (1 << level)
+        x = s * (1 << level) - k  # wavelet-local coordinate in [0, 1]
+        amp = (2.0 ** (0.5 * level)) / np.sqrt(length)
+        if not antiderivative:
+            inside = (x >= 0.0) & (x <= 1.0)
+            out[:, i] = np.where(inside, np.where(x < 0.5, amp, -amp), 0.0)
+        else:
+            half = length / (1 << (level + 1))  # half-support width in t units
+            rise = np.clip(x, 0.0, 0.5) * 2.0 * half
+            fall = (np.clip(x, 0.5, 1.0) - 0.5) * 2.0 * half
+            out[:, i] = amp * (rise - fall)
+    return out
+
+
+def _block_points(interval):
+    """Random points, every dyadic edge k / 2^l up to level 9, both ends, and
+    points just outside the ends but inside the accepted slack."""
+    length = interval.length
+    edges = np.concatenate([np.arange(2 ** level + 1) / 2 ** level for level in range(10)])
+    random = np.random.default_rng(14).random(400)
+    slack = np.array([-1e-13, 1e-13, 1.0 - 1e-13, 1.0 + 1e-13])
+    return np.concatenate([interval.t0 + length * np.concatenate([random, edges, slack]),
+                           [interval.t0, interval.T]])
+
+
+@pytest.mark.parametrize("interval", [Interval(0.0, 1.0), Interval(-1.0, 2.0), Interval(0.3, 0.7)],
+                         ids=str)
+@pytest.mark.parametrize("family", ["fourier", "haar"])
+def test_blocks_equal_the_per_column_loops(interval, family):
+    oracle = _oracle_fourier_block if family == "fourier" else _oracle_haar_block
+    basis = OrthonormalBasis(family, interval, 511)
+    t = _block_points(interval)
+    for count in (1, 2, 3, 5, 12, 64, 512):
+        for antiderivative in (False, True):
+            block = (basis.antiderivative_block if antiderivative else basis.evaluate_block)(t, count)
+            ref = oracle(interval, t, count, antiderivative)
+            assert np.array_equal(block, ref), (count, antiderivative)
+            assert np.array_equal(np.signbit(block), np.signbit(ref)), (count, antiderivative)
+
+
+def test_fourier_block_allocates_little_beyond_its_output():
+    basis = make_basis("fourier", 257)
+    t = np.random.default_rng(3).random(4096)
+    for antiderivative in (False, True):
+        basis._block(t, 257, antiderivative)
+        tracemalloc.start()
+        try:
+            out = basis._block(t, 257, antiderivative)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.nbytes, antiderivative

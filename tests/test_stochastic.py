@@ -161,6 +161,9 @@ def test_brownian_oracle_has_no_exact_moments():
 def test_brownian_oracle_needs_paths():
     with pytest.raises(ValueError, match="at least 2 paths"):
         brownian_midpoint_oracle(ONE, ONE, UNIT, seed=7, n_paths=1)
+    for n_paths in (2.5, 10.0, True, "10"):
+        with pytest.raises(ValueError, match="n_paths"):
+            brownian_midpoint_oracle(ONE, ONE, UNIT, seed=7, n_paths=n_paths, mesh=64)
 
 
 def test_brownian_oracle_validates_the_mesh():
@@ -351,12 +354,45 @@ def test_campaign_oracle_rms_is_quadrature_small():
     assert report.oracle_rms <= 1e-6
 
 
+@pytest.mark.parametrize("same_process", [True, False])
+@pytest.mark.parametrize("n_paths", [100, 9000])
+def test_campaign_draws_each_block_stream_once(monkeypatch, same_process, n_paths):
+    leg = make_basis("legendre", 8)
+    # the oracle's reference, from draws of its own
+    zeta = _block_normals(3, 0, _ZETA, 8)[:, :5].T
+    eta = None if same_process else _block_normals(3, 0, _ETA, 8)[:, :5].T
+    ref = smooth_path_oracle(ONE, TEE, leg, zeta, 8, eta=eta)
+    G = coefficient_matrix(ONE, TEE, leg, 8).entries
+    samples = _simulate_block((G, 3, 0, same_process))[:5]
+    calls = []
+
+    def counted(master_seed, block, stream, n):
+        calls.append((block, stream))
+        return _block_normals(master_seed, block, stream, n)
+
+    monkeypatch.setattr(stochastic, "_block_normals", counted)
+    report = mc_campaign(ONE, TEE, leg, 8, n_paths=n_paths, seed=3, same_process=same_process,
+                         oracle_draws=5)
+    streams = (_ZETA,) if same_process else (_ZETA, _ETA)
+    blocks = -(-n_paths // BLOCK_PATHS)
+    assert sorted(calls) == [(b, s) for b in range(blocks) for s in streams]
+    assert report.oracle_rms == float(np.sqrt(np.mean((samples - ref) ** 2)))
+
+
 def test_campaign_validates_arguments():
     leg = make_basis("legendre", 4)
     with pytest.raises(ValueError, match="at least 2 paths"):
         mc_campaign(ONE, ONE, leg, 4, n_paths=1, seed=0)
     with pytest.raises(ValueError, match="at least 1 worker"):
         mc_campaign(ONE, ONE, leg, 4, n_paths=200, seed=0, workers=0)
+    for n_paths in (1e4, 200.0, True):
+        with pytest.raises(ValueError, match="n_paths"):
+            mc_campaign(ONE, ONE, leg, 4, n_paths=n_paths, seed=0)
+    for workers in (True, 1.0, 2.0):
+        with pytest.raises(ValueError, match="workers"):
+            mc_campaign(ONE, ONE, leg, 4, n_paths=200, seed=0, workers=workers)
+    report = mc_campaign(ONE, ONE, leg, 4, n_paths=np.int64(200), seed=0, workers=np.int64(1))
+    assert type(report.n_paths) is int
     for mesh in (0, -4, 2.0, True):
         with pytest.raises(ValueError, match="oracle_mesh"):
             mc_campaign(ONE, ONE, leg, 4, n_paths=200, seed=0, oracle_draws=2, oracle_mesh=mesh)
