@@ -58,7 +58,8 @@ from .trace import (
 )
 from .weights import PolynomialWeight, TabulatedWeight, TrigSumWeight
 
-__all__ = ["main", "parse_weight", "parse_kernel", "csv_from_payload", "ConfigError"]
+__all__ = ["main", "build_parser", "ExperimentConfig", "parse_weight", "parse_kernel",
+           "csv_from_payload", "ConfigError"]
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""

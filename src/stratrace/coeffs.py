@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import Interval, OrthonormalBasis
+from .basis import Interval, OrthonormalBasis, _integer
 from .kernel import Kernel
 from .quadrature import _running_integral, integrand_rule
 from .weights import WeightFunction
@@ -104,7 +104,7 @@ def _result(cls, entries, basis: OrthonormalBasis, weight_ids: tuple):
 
 
 def _check_inputs(basis: OrthonormalBasis, count: int, *weights: WeightFunction):
-    if count < 1:
+    if _integer("count", count) < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     for w in weights:
         if w.interval != basis.interval:
@@ -117,10 +117,11 @@ def _volterra_tables(phi, psi, basis, count):
     """Tables on one outer rule whose contraction over nodes gives G:
     left[g, i] = w_g phi(x_g) q_i(x_g) and the running primitive Psi[g, j]."""
     _check_inputs(basis, count, phi, psi)
-    # phi q_i R(psi q_j) has degree phi + psi + 2b + 1; Q, Q ask one more, a
-    # spare degree kept so node counts (and where the node cap bites) stay put
-    Q = basis.factor(count, antiderivative=True)
-    rule = integrand_rule(basis.interval, (phi, psi, Q, Q))
+    # phi q_i R(psi q_j) has degree phi + psi + 2b + 1: one running integral;
+    # integrals=2 asks one more, a spare degree kept so node counts (and
+    # where the node cap bites) stay put
+    q = basis.factor(count)
+    rule = integrand_rule(basis.interval, (phi, psi, q, q), integrals=2)
     q_out = basis.evaluate_block(rule.x, count)
     psi_run = _running_integral(rule, psi(rule.x)[:, None] * q_out)
     left = (rule.w * phi(rule.x))[:, None] * q_out
@@ -131,6 +132,12 @@ def _volterra_tables(phi, psi, basis, count):
 # Volterra coefficient matrices
 
 
+def _volterra_entries(phi, psi, basis, count, diagonal: bool) -> np.ndarray:
+    """G for the pair (phi, psi), or only its diagonal."""
+    left, psi_run = _volterra_tables(phi, psi, basis, count)
+    return np.einsum("gi,gi->i", left, psi_run) if diagonal else left.T @ psi_run
+
+
 def coefficient_matrix(
     phi: WeightFunction,
     psi: WeightFunction,
@@ -138,8 +145,7 @@ def coefficient_matrix(
     count: int,
 ) -> CoefficientMatrix:
     """All entries G[i, j] for i, j < count."""
-    left, psi_run = _volterra_tables(phi, psi, basis, count)
-    entries = left.T @ psi_run
+    entries = _volterra_entries(phi, psi, basis, count, diagonal=False)
     return _result(CoefficientMatrix, entries, basis, (phi.id, psi.id))
 
 
@@ -150,8 +156,7 @@ def volterra_diagonal(
     count: int,
 ) -> np.ndarray:
     """The diagonal G[i, i] for i < count, without forming the full matrix."""
-    left, psi_run = _volterra_tables(phi, psi, basis, count)
-    return np.einsum("gi,gi->i", left, psi_run)
+    return _volterra_entries(phi, psi, basis, count, diagonal=True)
 
 
 def volterra_norm_sq(phi: WeightFunction, psi: WeightFunction) -> float:
@@ -186,8 +191,7 @@ def _kernel_entries(spec: Kernel, basis: OrthonormalBasis, count: int,
     when one-sided, G + G^T when mirrored (the mirror term a(tau) b(t)
     1(tau - t) expands to G^T), and the outer product of (a, q_i) and
     (b, q_j) when stepless."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _check_inputs(basis, count)
     if spec.interval != basis.interval:
         raise ValueError(f"kernel lives on {spec.interval.id}, basis on {basis.interval.id}")
     a, b = spec.weights
@@ -195,12 +199,10 @@ def _kernel_entries(spec: Kernel, basis: OrthonormalBasis, count: int,
         u = weight_basis_inner(a, basis, count)
         v = weight_basis_inner(b, basis, count)
         return u * v if diagonal else np.outer(u, v)
-    left, b_run = _volterra_tables(a, b, basis, count)
-    if diagonal:
-        g = np.einsum("gi,gi->i", left, b_run)
-        return 2.0 * g if spec.mirrored else g
-    g = left.T @ b_run
-    return g + g.T if spec.mirrored else g
+    g = _volterra_entries(a, b, basis, count, diagonal)
+    if not spec.mirrored:
+        return g
+    return 2.0 * g if diagonal else g + g.T
 
 
 def kernel_matrix(spec: Kernel, basis: OrthonormalBasis, count: int) -> CoefficientMatrix:
@@ -233,9 +235,10 @@ def tensor_coefficients(
     taken at the outer nodes, and the outer rule finishes the job.
     """
     _check_inputs(basis, count, w1, w2, w3)
-    # one spare degree, as in `_volterra_tables`
-    Q = basis.factor(count, antiderivative=True)
-    rule = integrand_rule(basis.interval, (w1, w2, w3, Q, Q, Q))
+    # two running integrals; integrals=3 adds one spare degree, as in
+    # `_volterra_tables`
+    q = basis.factor(count)
+    rule = integrand_rule(basis.interval, (w1, w2, w3, q, q, q), integrals=3)
     q_out = basis.evaluate_block(rule.x, count)
     # psi1[g, i1]: the innermost primitive at each outer node
     psi1 = _running_integral(rule, w1(rule.x)[:, None] * q_out)
@@ -350,6 +353,7 @@ def cached_coefficient_matrix(
     variable; with neither set this computes directly.  A corrupt or
     mismatched file is recomputed and overwritten.
     """
+    _check_inputs(basis, count, phi, psi)
     if directory is None:
         directory = os.environ.get("STRC_CACHE_DIR") or None
     if directory is None:

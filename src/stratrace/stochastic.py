@@ -174,6 +174,7 @@ def brownian_midpoint_oracle(
     is the Stratonovich midpoint rule; for constant weights it telescopes
     to W(T)^2 / 2 exactly.
     """
+    seed = _count("seed", seed, 0)
     mesh = _count("mesh", mesh, 1)
     n_paths = _paths(n_paths)
     edges = np.linspace(interval.t0, interval.T, mesh + 1)
@@ -268,7 +269,9 @@ def mc_campaign(
     samples of block 0 are recomputed through `smooth_path_oracle` and the
     root-mean-square discrepancy is attached to the report.
     """
+    N = _integer("N", N)
     n_paths = _paths(n_paths)
+    seed = _count("seed", seed, 0)
     workers = _integer("workers", workers)
     if workers < 1:
         raise ValueError(f"need at least 1 worker, got {workers}")

@@ -1,11 +1,13 @@
-"""Basis families: orthonormality, closed-form antiderivatives, validation."""
+"""Basis families: blocks, orthonormality, validation.
+
+A basis only evaluates blocks of its functions; running integrals of them
+come from `quadrature._running_integral` and are tested with the engines.
+"""
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from stratrace import Interval, OrthonormalBasis, gram_matrix
 from stratrace.coeffs import weight_basis_inner
@@ -31,15 +33,6 @@ def test_haar_first_wavelet_sign_split():
     assert basis.evaluate(1, 0.75) == pytest.approx(-1.0, abs=1e-15)
 
 
-def test_antiderivative_endpoint_values():
-    basis = make_basis("legendre", 8)
-    assert basis.antiderivative(0, 1.0) == pytest.approx(1.0, abs=1e-14)
-    for i in range(1, 8):
-        assert basis.antiderivative(i, 1.0) == pytest.approx(0.0, abs=1e-14)
-    fourier = make_basis("fourier", 8)
-    assert fourier.antiderivative(1, 1.0) == pytest.approx(0.0, abs=1e-14)
-
-
 def test_gram_matrix_identity_per_family():
     for family, count, tol in (("legendre", 4, 1e-12), ("fourier", 5, 1e-10), ("haar", 8, 1e-8)):
         basis = make_basis(family, count)
@@ -53,11 +46,15 @@ def test_gram_matrix_identity_on_shifted_interval():
     assert np.max(np.abs(gram_matrix(OrthonormalBasis("fourier", iv, 6), 7) - np.eye(7))) < 1e-10
 
 
-def test_antiderivative_at_right_end_equals_inner_product_with_one():
-    one = constant_weight(1.0, UNIT)
+@pytest.mark.parametrize("interval", [Interval(0.0, 1.0), Interval(-1.0, 2.0)], ids=str)
+def test_inner_product_with_one_is_sqrt_length_at_index_zero(interval):
+    """(1, q_i) = sqrt(L) delta_i0: q_0 = 1 / sqrt(L) and every other q_i is
+    orthogonal to it."""
+    one = constant_weight(1.0, interval)
+    closed = np.zeros(16)
+    closed[0] = np.sqrt(interval.length)
     for family in ("legendre", "fourier", "haar"):
-        basis = make_basis(family, 16)
-        closed = basis.antiderivative_block(np.array([1.0]), 16)[0]
+        basis = OrthonormalBasis(family, interval, 15)
         quadrature = weight_basis_inner(one, basis, 16)
         assert np.max(np.abs(closed - quadrature)) < 1e-12, family
 
@@ -69,28 +66,6 @@ def test_evaluate_scalar_matches_block_column():
         block = basis.evaluate_block(t, 8)
         for i in range(8):
             assert np.array_equal(basis.evaluate(i, t), block[:, i]), family
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    family=st.sampled_from(["legendre", "fourier"]),
-    i=st.integers(0, 8),
-    t=st.floats(0.05, 0.95),
-)
-def test_antiderivative_finite_difference_consistency(family, i, t):
-    basis = make_basis(family, 9)
-    h = 1e-5
-    fd = (basis.antiderivative(i, t + h) - basis.antiderivative(i, t - h)) / (2.0 * h)
-    value = basis.evaluate(i, t)
-    assert abs(fd - value) <= 1e-6 * max(1.0, abs(value))
-
-
-def test_haar_antiderivative_slope_inside_constant_pieces():
-    basis = make_basis("haar", 8)
-    h = 1e-6
-    for i, t in ((1, 0.3), (2, 0.3), (3, 0.6), (5, 0.35)):
-        fd = (basis.antiderivative(i, t + h) - basis.antiderivative(i, t - h)) / (2.0 * h)
-        assert fd == pytest.approx(basis.evaluate(i, t), abs=1e-8)
 
 
 def test_max_index_must_be_an_integer():
@@ -116,7 +91,18 @@ def test_index_out_of_range_rejected():
     with pytest.raises(ValueError):
         basis.evaluate(4, 0.5)
     with pytest.raises(ValueError):
-        basis.antiderivative(-1, 0.5)
+        basis.evaluate(-1, 0.5)
+    with pytest.raises(ValueError, match="out of range"):
+        basis.evaluate_block(np.array([0.5]), 0)
+
+
+@pytest.mark.parametrize("value", [1.0, 4.0, True, np.bool_(True), "4", None])
+def test_counts_and_indices_must_be_integers(value):
+    basis = make_basis("legendre", 8)
+    with pytest.raises(ValueError, match="count must be an integer"):
+        basis.evaluate_block(np.array([0.5]), value)
+    with pytest.raises(ValueError, match="i must be an integer"):
+        basis.evaluate(value, 0.5)
 
 
 def test_points_outside_interval_rejected():
@@ -140,16 +126,14 @@ def test_id_records_family_interval_and_size():
 @pytest.mark.parametrize("count", [1, 5, 8])
 def test_basis_factor_per_family(count):
     legendre, fourier, haar = (make_basis(f, 8) for f in ("legendre", "fourier", "haar"))
-    for antiderivative in (False, True):
-        extra = int(antiderivative)
-        q = legendre.factor(count, antiderivative)
-        assert (q.degree, q.phase, q.breakpoints.size) == (count - 1 + extra, 0.0, 0)
-        q = fourier.factor(count, antiderivative)
-        assert (q.degree, q.breakpoints.size) == (extra, 0)
-        assert q.phase == 2.0 * np.pi * (count // 2)
-        q = haar.factor(count, antiderivative)
-        assert (q.degree, q.phase) == (extra, 0.0)
-        assert np.array_equal(q.breakpoints, haar.breakpoints(count))
+    q = legendre.factor(count)
+    assert (q.degree, q.phase, q.breakpoints.size) == (count - 1, 0.0, 0)
+    q = fourier.factor(count)
+    assert (q.degree, q.breakpoints.size) == (0, 0)
+    assert q.phase == 2.0 * np.pi * (count // 2)
+    q = haar.factor(count)
+    assert (q.degree, q.phase) == (0, 0.0)
+    assert np.array_equal(q.breakpoints, haar.breakpoints(count))
     assert fourier.factor(5).phase == pytest.approx(4.0 * np.pi)
     assert np.array_equal(haar.factor(8).breakpoints, np.arange(1, 8) / 8.0)
 
@@ -164,46 +148,49 @@ def test_haar_breakpoints_are_dyadic():
 # -- blocks at array speed: bit for bit the per-column loops ------------------------
 
 
-def _oracle_fourier_block(interval, t, count, antiderivative):
+def _oracle_legendre_block(interval, t, count):
+    """The Legendre block from a recurrence run one order past count and
+    sliced, frozen: the reference the block must equal bit for bit."""
+    t0, length = interval.t0, interval.length
+    u = 2.0 * (t - t0) / length - 1.0
+    orders = count + 1
+    p = np.empty((len(t), orders))
+    p[:, 0] = 1.0
+    p[:, 1] = u
+    for n in range(1, orders - 1):
+        p[:, n + 1] = ((2 * n + 1) * u * p[:, n] - n * p[:, n - 1]) / (n + 1)
+    return p[:, :count] * np.sqrt((2 * np.arange(count) + 1) / length)
+
+
+def _oracle_fourier_block(interval, t, count):
     """The Fourier block one column at a time, frozen: the reference the
     in-place block must equal bit for bit."""
     t0, length = interval.t0, interval.length
     u = (t - t0) / length
     out = np.empty((len(t), count))
-    out[:, 0] = (t - t0) / np.sqrt(length) if antiderivative else 1.0 / np.sqrt(length)
+    out[:, 0] = 1.0 / np.sqrt(length)
     amp = np.sqrt(2.0 / length)
     for i in range(1, count):
         k = (i + 1) // 2
         ang = 2.0 * np.pi * k * u
-        if i % 2 == 1:  # sine harmonic
-            out[:, i] = (np.sqrt(2.0 * length) * (1.0 - np.cos(ang)) / (2.0 * np.pi * k)
-                         if antiderivative else amp * np.sin(ang))
-        else:  # cosine harmonic
-            out[:, i] = (np.sqrt(2.0 * length) * np.sin(ang) / (2.0 * np.pi * k)
-                         if antiderivative else amp * np.cos(ang))
+        out[:, i] = amp * (np.sin(ang) if i % 2 == 1 else np.cos(ang))
     return out
 
 
-def _oracle_haar_block(interval, t, count, antiderivative):
+def _oracle_haar_block(interval, t, count):
     """The Haar block one column at a time over all points, frozen: the
     reference the level-by-level fill must equal bit for bit."""
     t0, length = interval.t0, interval.length
     s = (t - t0) / length
     out = np.zeros((len(t), count))
-    out[:, 0] = (t - t0) / np.sqrt(length) if antiderivative else 1.0 / np.sqrt(length)
+    out[:, 0] = 1.0 / np.sqrt(length)
     for i in range(1, count):
         level = int(np.floor(np.log2(i)))
         k = i - (1 << level)
         x = s * (1 << level) - k  # wavelet-local coordinate in [0, 1]
         amp = (2.0 ** (0.5 * level)) / np.sqrt(length)
-        if not antiderivative:
-            inside = (x >= 0.0) & (x <= 1.0)
-            out[:, i] = np.where(inside, np.where(x < 0.5, amp, -amp), 0.0)
-        else:
-            half = length / (1 << (level + 1))  # half-support width in t units
-            rise = np.clip(x, 0.0, 0.5) * 2.0 * half
-            fall = (np.clip(x, 0.5, 1.0) - 0.5) * 2.0 * half
-            out[:, i] = amp * (rise - fall)
+        inside = (x >= 0.0) & (x <= 1.0)
+        out[:, i] = np.where(inside, np.where(x < 0.5, amp, -amp), 0.0)
     return out
 
 
@@ -220,28 +207,27 @@ def _block_points(interval):
 
 @pytest.mark.parametrize("interval", [Interval(0.0, 1.0), Interval(-1.0, 2.0), Interval(0.3, 0.7)],
                          ids=str)
-@pytest.mark.parametrize("family", ["fourier", "haar"])
+@pytest.mark.parametrize("family", ["legendre", "fourier", "haar"])
 def test_blocks_equal_the_per_column_loops(interval, family):
-    oracle = _oracle_fourier_block if family == "fourier" else _oracle_haar_block
+    oracle = {"legendre": _oracle_legendre_block, "fourier": _oracle_fourier_block,
+              "haar": _oracle_haar_block}[family]
     basis = OrthonormalBasis(family, interval, 511)
     t = _block_points(interval)
-    for count in (1, 2, 3, 5, 12, 64, 512):
-        for antiderivative in (False, True):
-            block = (basis.antiderivative_block if antiderivative else basis.evaluate_block)(t, count)
-            ref = oracle(interval, t, count, antiderivative)
-            assert np.array_equal(block, ref), (count, antiderivative)
-            assert np.array_equal(np.signbit(block), np.signbit(ref)), (count, antiderivative)
+    for count in (1, 2, 3, 5, 12, 63, 64, 512):
+        block = basis.evaluate_block(t, count)
+        ref = oracle(interval, t, count)
+        assert np.array_equal(block, ref), count
+        assert np.array_equal(np.signbit(block), np.signbit(ref)), count
 
 
 def test_fourier_block_allocates_little_beyond_its_output():
     basis = make_basis("fourier", 257)
     t = np.random.default_rng(3).random(4096)
-    for antiderivative in (False, True):
-        basis._block(t, 257, antiderivative)
-        tracemalloc.start()
-        try:
-            out = basis._block(t, 257, antiderivative)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * out.nbytes, antiderivative
+    basis.evaluate_block(t, 257)
+    tracemalloc.start()
+    try:
+        out = basis.evaluate_block(t, 257)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * out.nbytes

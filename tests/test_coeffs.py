@@ -306,6 +306,30 @@ def test_kernel_checks_count_and_interval():
         kernel_matrix(ComplexExponential(1, 2, Interval(0.0, 2.0)), leg, 4)
 
 
+_COUNTED = {
+    "coefficient_matrix": lambda leg, n, cache: coefficient_matrix(ONE, TEE, leg, n),
+    "volterra_diagonal": lambda leg, n, cache: volterra_diagonal(ONE, TEE, leg, n),
+    "weight_basis_inner": lambda leg, n, cache: weight_basis_inner(TEE, leg, n),
+    "tensor_coefficients": lambda leg, n, cache: tensor_coefficients(ONE, TEE, ONE, leg, n),
+    "kernel_matrix": lambda leg, n, cache: kernel_matrix(MonomialMin(0, 1, UNIT), leg, n),
+    "kernel_diagonal": lambda leg, n, cache: kernel_diagonal(SymmetrizedVolterra(ONE, TEE), leg, n),
+    "cached_coefficient_matrix": lambda leg, n, cache: cached_coefficient_matrix(
+        ONE, TEE, leg, n, directory=cache),
+}
+
+
+@pytest.mark.parametrize("count", [4.0, 1.0, True, np.float64(4.0), "4", None])
+@pytest.mark.parametrize("engine", sorted(_COUNTED))
+def test_counts_must_be_integers(engine, count, tmp_path):
+    leg = make_basis("legendre", 4)
+    for n in (1, 4):  # a warm cache: a hit must not skip the check
+        cached_coefficient_matrix(ONE, TEE, leg, n, directory=tmp_path)
+    with pytest.raises(ValueError, match="count must be an integer"):
+        _COUNTED[engine](leg, count, tmp_path)
+    result = _COUNTED[engine](leg, np.int64(4), tmp_path)
+    assert getattr(result, "entries", result).shape[0] == 4
+
+
 # -- order-3 tensors -------------------------------------------------------------
 
 

@@ -401,6 +401,21 @@ def test_campaign_validates_arguments():
             mc_campaign(ONE, ONE, leg, 4, n_paths=200, seed=0, oracle_draws=draws)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("N", 4.0), ("N", True), ("N", "4"), ("seed", 1.5), ("seed", 1.0), ("seed", True),
+    ("seed", -1), ("seed", None),
+])
+def test_counts_and_seeds_must_be_integers(name, value):
+    leg = make_basis("legendre", 4)
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        mc_campaign(ONE, ONE, leg, **{"N": 4, "n_paths": 200, "seed": 0, name: value})
+    if name == "seed":
+        with pytest.raises(ValueError, match=r"^seed must be"):
+            brownian_midpoint_oracle(ONE, ONE, UNIT, seed=value, n_paths=10, mesh=64)
+    report = mc_campaign(ONE, ONE, leg, np.int64(4), n_paths=200, seed=np.int64(3))
+    assert type(report.truncation) is int and type(report.seed) is int
+
+
 @pytest.mark.parametrize("n_paths", [2, 3, 4097, 5000])
 def test_campaign_samples_are_the_leading_paths_of_its_blocks(n_paths):
     leg = make_basis("legendre", 8)
