@@ -244,7 +244,10 @@ def tensor_coefficients(
     psi1 = _running_integral(rule, w1(rule.x)[:, None] * q_out)
     # lam[g, i2, i1]: the mid-level running integral at each outer node
     lam = _running_integral(rule, (w2(rule.x)[:, None] * q_out)[:, :, None] * psi1[:, None, :])
-    entries = np.einsum("g,go,gjk->kjo", rule.w * w3(rule.x), q_out, lam)
+    # the outer rule as one matrix product: (outer.T @ lam)[i3, i2 * count + i1]
+    outer = (rule.w * w3(rule.x))[:, None] * q_out
+    entries = (outer.T @ lam.reshape(len(rule.w), count * count)).reshape((count,) * 3)
+    entries = np.ascontiguousarray(entries.transpose(2, 1, 0))
     return _result(CoefficientTensor, entries, basis, (w1.id, w2.id, w3.id))
 
 

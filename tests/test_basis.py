@@ -213,7 +213,7 @@ def test_blocks_equal_the_per_column_loops(interval, family):
               "haar": _oracle_haar_block}[family]
     basis = OrthonormalBasis(family, interval, 511)
     t = _block_points(interval)
-    for count in (1, 2, 3, 5, 12, 63, 64, 512):
+    for count in (1, 2, 3, 5, 12, 63, 64, 127, 128, 255, 512):
         block = basis.evaluate_block(t, count)
         ref = oracle(interval, t, count)
         assert np.array_equal(block, ref), count

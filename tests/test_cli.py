@@ -26,7 +26,7 @@ from stratrace import (
 )
 from stratrace import cli
 from stratrace import coeffs as coeffs_module
-from stratrace.cli import csv_from_payload, main, parse_kernel, parse_weight
+from stratrace.cli import build_parser, csv_from_payload, main, parse_kernel, parse_weight
 
 from conftest import UNIT, make_basis, poly
 
@@ -618,3 +618,77 @@ def test_coeffs_report_files_are_byte_identical_to_the_previous_writer(payload):
 @given(payload=_ladder_payloads() | _simulate_payloads)
 def test_other_report_files_are_byte_identical_to_the_previous_writer(payload):
     _assert_written_as_before(payload)
+
+
+# -- matrix rows against the frozen per-entry f-strings ----------------------------
+
+
+def _frozen_csv_lines(i: int, row: list) -> str:
+    """The `i,j,entry` lines of one row with one f-string per entry, frozen: the
+    text the joined rows must equal byte for byte."""
+    return "".join(f"{i},{j},{_frozen_cell(entry)}\n" for j, entry in enumerate(row))
+
+
+_row_int = st.integers(-10 ** 18, 10 ** 18)
+# rows of width 0 to 70: floats, ints, floats and [re, im] pairs, or all three mixed
+_rows = st.integers(0, 70).flatmap(lambda width: st.one_of(
+    *(st.lists(cell, min_size=width, max_size=width)
+      for cell in (_finite, _row_int, _number, _number | _row_int))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(i=st.integers(0, 10 ** 4), row=_rows)
+@example(i=0, row=[])
+@example(i=7, row=[*_EDGE_FLOATS, -5e-324, -1e-300])
+def test_matrix_rows_are_byte_identical_to_per_entry_f_strings(i, row):
+    assert cli._csv_lines(i, cli._row_cells(row)) == _frozen_csv_lines(i, row)
+    if all(isinstance(entry, float) for entry in row):  # the writer streams float arrays
+        as_array = np.array(row, dtype=float)
+        assert cli._csv_lines(i, cli._row_cells(as_array)) == _frozen_csv_lines(i, row)
+
+
+@pytest.mark.parametrize("family", ["legendre", "fourier", "haar"])
+def test_coeffs_csv_from_payload_matches_per_entry_f_strings(family):
+    basis = make_basis(family, 64)
+    matrix = coeffs_module.coefficient_matrix(poly(1.0, -2.0, 3.0), poly(0.0, 1.0), basis, 64)
+    payload = {"experiment": "coeffs", "basis": matrix.basis_id,
+               "weights": list(matrix.weight_ids), "N": matrix.count,
+               "trace": float(matrix.trace), "entries": matrix.entries.tolist()}
+    table = csv_from_payload(payload)
+    assert table.split("\n") == _frozen_csv(payload).split("\n")
+
+
+# -- one parser per process --------------------------------------------------------
+
+
+def _report(tmp_path, out: str) -> tuple:
+    """A run's payload and CSV bytes; env differs run to run and is left out."""
+    doc = json.loads((tmp_path / f"{out}.json").read_text(encoding="utf-8"))
+    return doc["payload"], (tmp_path / f"{out}.csv").read_bytes()
+
+
+def test_main_reuses_one_parser_and_leaks_no_flag_between_calls(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("STRC_CACHE_DIR", raising=False)
+    simulate = ["simulate", "--phi", "poly:1,2", "--psi", "poly:0,1", "--basis", "legendre",
+                "--nmax", "8", "--paths", "600", "--seed", "5", "--oracle-draws", "2"]
+    coeffs = ["coeffs", "--phi", "poly:1", "--psi", "poly:0,1,1", "--basis", "fourier",
+              "--nmax", "9"]
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
+
+    assert main(simulate + ["--distinct", "--out", "distinct"]) in (0, 2)
+    assert main(simulate + ["--out", "same"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffs", "--phi", "poly:1", "--nmax", "many"])
+    assert exc.value.code == 1
+    assert main(coeffs + ["--out", "mat"]) == 0
+
+    # the same argvs, each through a parser of its own
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    assert main(simulate + ["--out", "same-fresh"]) == 0
+    assert main(coeffs + ["--out", "mat-fresh"]) == 0
+    assert _report(tmp_path, "same") == _report(tmp_path, "same-fresh")
+    assert _report(tmp_path, "mat") == _report(tmp_path, "mat-fresh")
+    # --distinct took effect in its own call and in no later one
+    assert _report(tmp_path, "distinct")[0] != _report(tmp_path, "same")[0]

@@ -5,6 +5,7 @@ scipy's adaptive dblquad, exact rational polynomial algebra, frozen analytic
 diagonals, and a frozen two-dimensional Gauss quadrature of kernels.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -38,9 +39,10 @@ from stratrace import (
     volterra_norm_sq,
     weight_basis_inner,
 )
+from stratrace import cli
 from stratrace import coeffs as coeffs_module
-from stratrace.coeffs import cache_path
-from stratrace.quadrature import integrand_rule, nodes_for, scaled_segments
+from stratrace.coeffs import CoefficientTensor, cache_path
+from stratrace.quadrature import _running_integral, integrand_rule, nodes_for, scaled_segments
 
 from conftest import UNIT, make_basis, poly
 
@@ -459,6 +461,53 @@ def test_low_truncations_of_a_high_degree_weight_against_the_algebra_oracles(d, 
         weights[slot] = high
         tensor = tensor_coefficients(*weights, leg, count).entries
         assert np.max(np.abs(tensor - _polynomial_tensor_oracle(weights, count))) < 1e-13
+
+
+def _oracle_einsum_tensor(w1, w2, w3, basis, count):
+    """The tensor with the outer rule applied by one three-operand einsum,
+    frozen: the reference the matrix-product contraction must match."""
+    q = basis.factor(count)
+    rule = integrand_rule(basis.interval, (w1, w2, w3, q, q, q), integrals=3)
+    q_out = basis.evaluate_block(rule.x, count)
+    psi1 = _running_integral(rule, w1(rule.x)[:, None] * q_out)
+    lam = _running_integral(rule, (w2(rule.x)[:, None] * q_out)[:, :, None] * psi1[:, None, :])
+    return np.einsum("g,go,gjk->kjo", rule.w * w3(rule.x), q_out, lam)
+
+
+@pytest.mark.parametrize("count", [8, 16, 32])
+@pytest.mark.parametrize("family", ["legendre", "fourier", "haar"])
+def test_tensor_contraction_matches_the_frozen_einsum(family, count):
+    basis = make_basis(family, count)
+    for weights in ((TEE, P3, TSQ), (TRIG, ONE, TABLE)):
+        tensor = tensor_coefficients(*weights, basis, count).entries
+        assert tensor.flags.c_contiguous
+        assert np.max(np.abs(tensor - _oracle_einsum_tensor(*weights, basis, count))) <= 1e-15
+
+
+@pytest.mark.parametrize("pair", ["12", "23", "13"])
+@pytest.mark.parametrize("family", ["legendre", "fourier", "haar"])
+def test_tensor_trace_report_matches_the_frozen_einsum(tmp_path, monkeypatch, family, pair):
+    # the tensor-trace run against the same run on the einsum tensor
+    monkeypatch.chdir(tmp_path)
+    argv = ["tensor-trace", "--w1", "poly:0.5,1,-0.3", "--w2", "poly:0,1", "--w3",
+            "poly:0.5,1,-0.3", "--basis", family, "--nmax", "32", "--pair", pair, "--tol", "1"]
+
+    def frozen(w1, w2, w3, basis, count):
+        return CoefficientTensor(_oracle_einsum_tensor(w1, w2, w3, basis, count),
+                                 basis.id, (w1.id, w2.id, w3.id), basis.interval)
+
+    reports = []
+    for engine in (tensor_coefficients, frozen):
+        monkeypatch.setattr(cli, "tensor_coefficients", engine)
+        assert cli.main(argv + ["--out", "run"]) in (0, 2)
+        reports.append(json.loads((tmp_path / "run.json").read_text())["payload"])
+    now, before = reports
+    assert np.max(np.abs(np.subtract(now["partial_sums"], before["partial_sums"]))) <= 1e-15
+    assert np.max(np.abs(np.subtract(now["errors"], before["errors"]))) <= 1e-15
+    for key in ("limits", "final_vector"):
+        if key in before["metadata"]:
+            assert np.max(np.abs(np.subtract(now["metadata"][key],
+                                             before["metadata"][key]))) <= 1e-15
 
 
 def test_tensor_metadata():
