@@ -183,21 +183,28 @@ class OrthonormalBasis:
         s = (t - t0) / length
         out = np.zeros((len(t), count))
         out[:, 0] = 1.0 / np.sqrt(length)
-        level = 0
-        while (1 << level) < count:
-            first = 1 << level  # column of wavelet 0 of this level
-            wavelets = min(first, count - first)  # the last level may be cut
+        for _, first, wavelets, amp in self._haar_levels(count):
             y = s * first
             k = np.floor(y)
             x = y - k  # wavelet-local coordinate in [0, 1)
-            amp = (2.0 ** (0.5 * level)) / np.sqrt(length)
             own = np.flatnonzero((k >= 0.0) & (k < wavelets))
             out[own, first + k[own].astype(np.intp)] = np.where(x[own] < 0.5, amp, -amp)
             # the right end x = 1 of wavelet k - 1
             edge = np.flatnonzero((x == 0.0) & (k >= 1.0) & (k <= wavelets))
             out[edge, first - 1 + k[edge].astype(np.intp)] = -amp
-            level += 1
         return out
+
+    def _haar_levels(self, count):
+        """(level l, column of wavelet 0, wavelets, amplitude 2^(l/2) / sqrt(L))
+        of each wavelet level among the first `count` Haar functions; only
+        the last level may be cut.  The Haar coefficient engine reads the
+        same layout."""
+        level = 0
+        while (1 << level) < count:
+            first = 1 << level
+            amp = (2.0 ** (0.5 * level)) / np.sqrt(self.interval.length)
+            yield level, first, min(first, count - first), amp
+            level += 1
 
 
 def gram_matrix(basis: OrthonormalBasis, n: int) -> np.ndarray:

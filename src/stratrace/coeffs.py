@@ -13,6 +13,11 @@ worked out from the integrand's factors alone (one panel per smooth piece of a
 piecewise polynomial integrand, uniform panels only for oscillation), so every
 entry is exact (up to roundoff) whenever the weights and basis make the
 integrands piecewise polynomial or resolved oscillations.
+The Haar family is the exception: its functions are constant on the finest
+dyadic cells, so G and its diagonal come from three moments of (phi, psi) per
+cell, taken on the same outer rule, with no table of basis values at its
+nodes (`_haar_entries`); Legendre and Fourier contract the outer rule's
+tables, and order-3 tensors do so in every family.
 A kernel's matrix comes from the same engine: every kind is built from two
 factor weights (a, b), so its matrix is G(a, b), G + G^T, or an outer product
 of two `weight_basis_inner` vectors.  The test suite keeps a two-dimensional
@@ -35,7 +40,7 @@ import numpy as np
 
 from .basis import Interval, OrthonormalBasis, _integer
 from .kernel import Kernel
-from .quadrature import _running_integral, integrand_rule
+from .quadrature import _panel_integral, _running_integral, integrand_rule
 from .weights import WeightFunction
 
 __all__ = [
@@ -129,11 +134,115 @@ def _volterra_tables(phi, psi, basis, count):
 
 
 # ---------------------------------------------------------------------------
+# Haar coefficients from cell moments
+
+
+def _exclusive_cumsum(x: np.ndarray) -> np.ndarray:
+    """Sum along the last axis of the entries strictly before each entry."""
+    out = np.zeros_like(x)
+    np.cumsum(x[..., :-1], axis=-1, out=out[..., 1:])
+    return out
+
+
+def _haar_cell_moments(phi, psi, basis, count):
+    """Three moments of (phi, psi) on each finest dyadic cell c of the first
+    `count` Haar functions: A_c = int_c phi, B_c = int_c psi and
+    C_c = int_c phi(t) int_{left(c)}^t psi(s) ds dt, on the rule
+    `_volterra_tables` builds, with no basis block."""
+    _check_inputs(basis, count, phi, psi)
+    q = basis.factor(count)
+    rule = integrand_rule(basis.interval, (phi, psi, q, q), integrals=2)
+    iv, cells = basis.interval, len(q.breakpoints) + 1
+    # the cell edges are rule edges, so each panel lies in one cell
+    mid = 0.5 * (rule.edges[:-1] + rule.edges[1:])
+    panel_cell = np.minimum((mid - iv.t0) * (cells / iv.length), cells - 1).astype(np.intp)
+    first_panel = np.searchsorted(panel_cell, np.arange(cells))
+    f, g = phi(rule.x), psi(rule.x)
+    # C from running integrals that start in the cell, never at t0, so it
+    # keeps its own relative accuracy: the partial panel, then the cell's
+    # whole panels left of it (0 in a cell's first panel)
+    a, b, c = rule.panel_sums(np.stack([f, g, f * _panel_integral(rule, g).ravel()], axis=1)).T
+    before = _exclusive_cumsum(b)
+    c = c + a * (before - before[first_panel[panel_cell]])
+    # reduceat, unlike bincount, takes complex weights
+    return tuple(np.add.reduceat(x, first_panel) for x in (a, b, c))
+
+
+def _haar_supports(basis: OrthonormalBasis, count: int, cells: int):
+    """(first index, functions, support width in cells, amplitude, sign on
+    the cells of one support) for the constant, then each wavelet level."""
+    yield 0, 1, cells, 1.0 / np.sqrt(basis.interval.length), np.ones(cells)
+    for level, first, wavelets, amp in basis._haar_levels(count):
+        width = cells >> level
+        yield first, wavelets, width, amp, np.repeat([1.0, -1.0], width // 2)
+
+
+def _haar_entries(phi, psi, basis, count, diagonal: bool) -> np.ndarray:
+    """G, or its diagonal, in the Haar basis from the cell moments alone.
+
+    On finest cell c, q_i = amp_i s_i(c) with s_i = +-1 on its support and 0
+    off it.  Summed level by level over each support, with P the exclusive
+    prefix within the support:
+
+        G[i, i] = amp^2 sum (C + s A P(s B)),
+        u_i = (phi, q_i) = amp sum s A,     v_i = (psi, q_i) = amp sum s B,
+        D_i = int phi q_i int_{lo_i}^t psi = amp sum s (C + A P(B)),
+        E_i = int phi int_{lo_i}^t psi q_i = amp sum (s C + A P(s B)).
+
+    Dyadic supports nest or are disjoint.  G[i, j] = u_i v_j where supp q_i
+    lies right of supp q_j and 0 where it lies left; a nested pair, with q_up
+    equal to s amp_up on the support [lo_d, hi_d) of its descendant q_d, has
+
+        G[d, up] = u_d amp_up P(s_up B)(lo_d) + s amp_up D_d,
+        G[up, d] = s amp_up E_d + v_d amp_up (sum of s_up A right of hi_d).
+
+    O(cells log N) for the diagonal, O(N^2) for the matrix, and nothing of
+    size nodes x N.
+    """
+    a, b, c = _haar_cell_moments(phi, psi, basis, count)
+    cells = len(a)
+    diag, u, v, d_in, e_in = (np.empty(count, dtype=a.dtype) for _ in range(5))
+    lo, hi = np.empty(count, dtype=np.intp), np.empty(count, dtype=np.intp)
+    levels = []
+    for first, rows, width, amp, sign in _haar_supports(basis, count, cells):
+        fn = slice(first, first + rows)
+        lo[fn] = np.arange(rows) * width
+        hi[fn] = lo[fn] + width
+        a_r, b_r, c_r = (x.reshape(-1, width)[:rows] for x in (a, b, c))
+        sa, sb, sc = sign * a_r, sign * b_r, sign * c_r
+        prefix = _exclusive_cumsum(sb)
+        diag[fn] = amp * amp * (c_r + sa * prefix).sum(axis=1)
+        u[fn], v[fn] = amp * sa.sum(axis=1), amp * sb.sum(axis=1)
+        d_in[fn] = amp * (sc + sa * _exclusive_cumsum(b_r)).sum(axis=1)
+        e_in[fn] = amp * (sc + a_r * prefix).sum(axis=1)
+        suffix = _exclusive_cumsum(sa[:, ::-1])[:, ::-1]
+        levels.append((first, width, amp, sign, amp * prefix.ravel(), amp * suffix.ravel()))
+    if diagonal:
+        return diag
+
+    g = np.multiply.outer(u, v)
+    g *= lo[:, None] >= hi[None, :]
+    # every function of a deeper level nests in one function of each level
+    # above it (all whole, since only the last level may be cut)
+    for up_first, up_width, up_amp, up_sign, up_prefix, up_suffix in levels:
+        d = np.arange(up_first + cells // up_width, count)
+        up = up_first + lo[d] // up_width
+        s = up_sign[lo[d] % up_width]
+        g[d, up] = u[d] * up_prefix[lo[d]] + s * up_amp * d_in[d]
+        g[up, d] = s * up_amp * e_in[d] + v[d] * up_suffix[hi[d] - 1]
+    np.fill_diagonal(g, diag)
+    return g
+
+
+# ---------------------------------------------------------------------------
 # Volterra coefficient matrices
 
 
 def _volterra_entries(phi, psi, basis, count, diagonal: bool) -> np.ndarray:
-    """G for the pair (phi, psi), or only its diagonal."""
+    """G for the pair (phi, psi), or only its diagonal: from the cell moments
+    in the Haar basis, from the outer rule's tables in the others."""
+    if basis.family == "haar":
+        return _haar_entries(phi, psi, basis, count, diagonal)
     left, psi_run = _volterra_tables(phi, psi, basis, count)
     return np.einsum("gi,gi->i", left, psi_run) if diagonal else left.T @ psi_run
 
@@ -267,7 +376,7 @@ _MAGIC = b"STRC"
 _VERSION = 1
 # enters every cache key; bump it whenever an engine change may move the
 # numbers, so files written by an older engine are recomputed, not served
-_ENGINE_VERSION = 3
+_ENGINE_VERSION = 4
 
 
 def _digest(parts: dict) -> str:

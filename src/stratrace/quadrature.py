@@ -19,8 +19,9 @@ Running integrals x_g -> int_{t0}^{x_g} f at a composite rule's own nodes,
 which every coefficient engine and the reduced tensor limits need, are built
 in one place, `_running_integral`: per-panel prefix sums of the rule plus one
 cached n x n spectral integration matrix applied to each panel's node values.
-It stays private so that its time counts toward the engine function that
-asked for it.
+That second part alone, the integral from each node's own panel edge, is
+`_panel_integral`.  Both stay private so that their time counts toward the
+engine function that asked for them.
 """
 
 from __future__ import annotations
@@ -230,13 +231,21 @@ def _running_integral(rule: CompositeRule, values: np.ndarray) -> np.ndarray:
     exact for h * int f and h or f has degree <= nodes_per_panel - 1, so the
     callers' product demands on `rule` suffice.
     """
-    n = rule.nodes_per_panel
     per_panel = rule.panel_sums(values)
     prefix = np.empty_like(per_panel)
     prefix[0] = 0.0
     np.cumsum(per_panel[:-1], axis=0, out=prefix[1:])
+    inside = _panel_integral(rule, values)
+    inside += prefix.reshape(rule.panels, 1, -1)
+    return inside.reshape(values.shape)
+
+
+def _panel_integral(rule: CompositeRule, values: np.ndarray) -> np.ndarray:
+    """int_{e_p}^{x_g} f from the left edge e_p of each node's own panel p,
+    (h_p / 2) S @ f_p, shaped (panels, nodes_per_panel, -1): the partial
+    panel of `_running_integral`, without the whole panels before it."""
+    n = rule.nodes_per_panel
     inside = _integration_matrix(n) @ values.reshape(rule.panels, n, -1)
     # built in place: the tensor's mid level alone holds G * count^2 values
     inside *= 0.5 * np.diff(rule.edges)[:, None, None]
-    inside += prefix.reshape(rule.panels, 1, -1)
-    return inside.reshape(values.shape)
+    return inside

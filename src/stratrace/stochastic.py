@@ -27,9 +27,10 @@ genuine Brownian path on a fine mesh.
 Two kinds of block appear below and must not be confused.  Key blocks (the
 BLOCK_PATHS campaign blocks and the oracle's `_BROWNIAN_BLOCK_VALUES`
 blocks) decide which paths share a generator, so they define the samples.
-Sub-blocks (`_BROWNIAN_ROW_VALUES`, `_ORACLE_PANELS`) only bound the memory
-an oracle holds at once: each is worked through in sequence, and every
-sample is bitwise the same whatever their size.
+Sub-blocks (`_BROWNIAN_ROW_VALUES`, `_ORACLE_PANELS`, `_PATH_COLUMNS`) only
+bound the memory an oracle or a campaign block holds at once: each is worked
+through in sequence, and every sample is bitwise the same whatever their
+size.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ _BROWNIAN_ROW_VALUES = 2 ** 18
 # panels of `smooth_path_oracle` whose in-panel partials are built at once;
 # bounds memory only
 _ORACLE_PANELS = 256
+# paths of a campaign block whose G^T zeta columns are formed at once;
+# bounds memory only
+_PATH_COLUMNS = 1024
 # stream tags of the block generators
 _ZETA, _ETA, _BROWNIAN = 0, 1, 2
 
@@ -232,8 +236,14 @@ def _block_draws(master_seed: int, block: int, same_process: bool, n: int):
 
 
 def _block_samples(G: np.ndarray, zeta: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """zeta_p^T G inner_p for every path p of a block, from one matrix product."""
-    return np.einsum("ip,ip->p", G.T @ zeta, inner)
+    """zeta_p^T G inner_p for every path p of a block, from one matrix product
+    per `_PATH_COLUMNS` paths; a column of G^T zeta depends on its own path
+    alone, so the split changes no sample."""
+    samples = np.empty(zeta.shape[1])
+    for first in range(0, zeta.shape[1], _PATH_COLUMNS):
+        cols = slice(first, first + _PATH_COLUMNS)
+        samples[cols] = np.einsum("ip,ip->p", G.T @ zeta[:, cols], inner[:, cols])
+    return samples
 
 
 def _simulate_block(args) -> np.ndarray:

@@ -45,6 +45,7 @@ from stratrace.coeffs import CoefficientTensor, cache_path
 from stratrace.quadrature import _running_integral, integrand_rule, nodes_for, scaled_segments
 
 from conftest import UNIT, make_basis, poly
+from test_stochastic import _traced_peak
 
 ONE = poly(1.0)
 TEE = poly(0.0, 1.0)
@@ -180,6 +181,100 @@ def test_bessel_bound_and_monotonicity(pc, qc):
     partial = [float(np.sum(matrix.entries[:n, :n] ** 2)) for n in (3, 6, 12)]
     assert partial == sorted(partial)
     assert partial[-1] <= bound + 1e-10
+
+
+# -- Haar coefficients from cell moments ------------------------------------------
+
+# a table whose breaks at 0.3 and 0.55 are no dyadic cell edges
+TAB = TabulatedWeight(np.array([0.0, 0.3, 0.55, 1.0]), np.array([1.0, 2.0, 0.5, 1.0]), UNIT)
+HAAR_PAIRS = {"poly": (P3, TSQ), "trig": (TRIG, TAB), "table": (TAB, TRIG), "grid": (TABLE, P3)}
+
+
+def _generic_tables(phi, psi, basis, count):
+    """G and its diagonal contracted from the outer rule's tables, as the
+    Legendre and Fourier families still get them."""
+    left, psi_run = coeffs_module._volterra_tables(phi, psi, basis, count)
+    return left.T @ psi_run, np.einsum("gi,gi->i", left, psi_run)
+
+
+def _haar_support(i, count):
+    """[lo, hi) of q_i in units of the finest of `count` functions' cells."""
+    cells = 1 if count == 1 else 2 ** (int(np.log2(count - 1)) + 1)
+    if i == 0:
+        return 0, cells
+    level = int(np.log2(i))
+    width = cells >> level
+    return (i - 2**level) * width, (i - 2**level + 1) * width
+
+
+# counts with a cut last level (3, 5, 100) and whole ones
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 8, 100, 256, 512])
+@pytest.mark.parametrize("pair", sorted(HAAR_PAIRS))
+def test_haar_cell_moments_match_the_generic_tables(pair, count):
+    haar = make_basis("haar", 512)
+    phi, psi = HAAR_PAIRS[pair]
+    matrix, diag = _generic_tables(phi, psi, haar, count)
+    assert np.max(np.abs(coefficient_matrix(phi, psi, haar, count).entries - matrix)) <= 1e-14
+    got = volterra_diagonal(phi, psi, haar, count)
+    assert np.max(np.abs(got - diag)) <= 1e-14
+    # the trace ladders sum the diagonal, so no rounding may drift with the cells
+    assert np.max(np.abs(np.cumsum(got) - np.cumsum(diag))) <= 4e-15
+
+
+@pytest.mark.parametrize("count", [1, 5, 100, 256])
+@pytest.mark.parametrize("spec", [ComplexExponential(1, 3, UNIT), ComplexExponential(-2, -1, UNIT)],
+                         ids=lambda spec: spec.id)
+def test_haar_complex_kernels_match_the_generic_tables(spec, count):
+    haar = make_basis("haar", 256)
+    g, diag = _generic_tables(*spec.weights, haar, count)
+    matrix = kernel_matrix(spec, haar, count).entries
+    assert np.iscomplexobj(matrix)
+    assert np.max(np.abs(matrix - (g + g.T))) <= 1e-14
+    assert np.max(np.abs(kernel_diagonal(spec, haar, count) - 2.0 * diag)) <= 1e-14
+
+
+def test_haar_cell_moments_off_the_unit_interval():
+    iv = Interval(-1.0, 2.0)
+    haar = make_basis("haar", 64, iv)
+    phi, psi = poly(1.0, 2.0, interval=iv), poly(0.5, -1.0, 0.3, interval=iv)
+    matrix, diag = _generic_tables(phi, psi, haar, 37)
+    assert np.max(np.abs(coefficient_matrix(phi, psi, haar, 37).entries - matrix)) <= 1e-14
+    assert np.max(np.abs(volterra_diagonal(phi, psi, haar, 37) - diag)) <= 1e-14
+
+
+@pytest.mark.parametrize("count", [8, 64, 100])
+def test_haar_matrix_is_the_outer_product_where_supports_are_apart(count):
+    # right of supp q_j, int^t psi q_j is all of (psi, q_j); left of it, 0
+    haar = make_basis("haar", 128)
+    matrix = coefficient_matrix(TRIG, P3, haar, count).entries
+    u = weight_basis_inner(TRIG, haar, count)
+    v = weight_basis_inner(P3, haar, count)
+    right = left = 0
+    for i in range(count):
+        lo_i, hi_i = _haar_support(i, count)
+        for j in range(count):
+            lo_j, hi_j = _haar_support(j, count)
+            if lo_i >= hi_j:
+                assert matrix[i, j] == pytest.approx(u[i] * v[j], abs=1e-15)
+                right += 1
+            elif hi_i <= lo_j:
+                assert matrix[i, j] == 0.0
+                left += 1
+    assert right == left > count
+
+
+def test_haar_matrix_reach_at_n_2048():
+    # on a 2-core Xeon, contracting the (nodes x N) tables took 1.6 s and
+    # 485 MB of peak RSS at this N, and 9.7 s and 1829 MB at N = 4096
+    n = 2048
+    haar = make_basis("haar", n)
+    g = coefficient_matrix(P3, TRIG, haar, n).entries
+    g_swapped = coefficient_matrix(TRIG, P3, haar, n).entries
+    # both orders of t and s together cover the square: G + G'^T = u v^T
+    u, v = weight_basis_inner(P3, haar, n), weight_basis_inner(TRIG, haar, n)
+    assert np.max(np.abs(g + g_swapped.T - np.outer(u, v))) <= 1e-12
+    peak = _traced_peak(lambda: coefficient_matrix(P3, TRIG, haar, n))
+    assert peak <= 4 * n * n * 8
 
 
 # -- two-dimensional kernel coefficients ----------------------------------------

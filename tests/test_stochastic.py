@@ -299,6 +299,28 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("family, N", [("legendre", 32), ("fourier", 33), ("haar", 256)])
+@pytest.mark.parametrize("same_process", [True, False])
+def test_block_samples_identical_across_path_sub_blocks(monkeypatch, family, N, same_process):
+    # the quadratic forms of one block, frozen as one product of G^T with
+    # all its paths; each path sub-block must reproduce them bit for bit
+    G = coefficient_matrix(P3, P2, make_basis(family, N), N).entries
+    zeta = _block_normals(9, 0, _ZETA, N)
+    inner = zeta if same_process else _block_normals(9, 0, _ETA, N)
+    whole = np.einsum("ip,ip->p", G.T @ zeta, inner)
+    for columns in (256, 1000, 2048, BLOCK_PATHS):
+        monkeypatch.setattr(stochastic, "_PATH_COLUMNS", columns)
+        assert np.array_equal(stochastic._block_samples(G, zeta, inner), whole)
+
+
+def test_campaign_block_allocation_budget():
+    # G^T zeta of a whole block beside zeta and eta held about 24.5 MiB at once
+    haar = make_basis("haar", 256)
+    peak = _traced_peak(lambda: mc_campaign(P3, P2, haar, 256, n_paths=BLOCK_PATHS, seed=5,
+                                            same_process=False))
+    assert peak < 20 * 2 ** 20
+
+
 def test_brownian_oracle_allocation_budget():
     # whole key blocks of 256 paths x 2**14 held about 96.5 MiB at once
     peak = _traced_peak(lambda: brownian_midpoint_oracle(P3, P2, UNIT, seed=11, n_paths=300))
