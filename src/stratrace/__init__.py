@@ -11,7 +11,7 @@ matrix trace as the Ito correction.
 
 __version__ = "0.1.0"
 
-from .basis import FAMILIES, Interval, OrthonormalBasis, gram_matrix
+from .basis import FAMILIES, Interval, OrthonormalBasis
 from .coeffs import (
     CacheCorruptError,
     CacheKeyError,
@@ -41,7 +41,6 @@ from .kernel import (
     averaging,
     default_eps_schedule,
     diagonal_trace,
-    evaluate_kernel,
     explicit_factor_pair,
     factorization_residual,
 )

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import Factor, integrand_rule
+from .quadrature import Factor
 
-__all__ = ["Interval", "OrthonormalBasis", "FAMILIES", "gram_matrix"]
+__all__ = ["Interval", "OrthonormalBasis", "FAMILIES"]
 
 FAMILIES = ("legendre", "fourier", "haar")
 
@@ -205,13 +205,3 @@ class OrthonormalBasis:
             amp = (2.0 ** (0.5 * level)) / np.sqrt(self.interval.length)
             yield level, first, min(first, count - first), amp
             level += 1
-
-
-def gram_matrix(basis: OrthonormalBasis, n: int) -> np.ndarray:
-    """Quadrature Gram matrix of the first n basis functions (identity check)."""
-    if n < 1 or n > basis.size:
-        raise ValueError(f"need 1 <= n <= {basis.size}, got {n}")
-    q = basis.factor(n)
-    rule = integrand_rule(basis.interval, (q, q))
-    block = basis.evaluate_block(rule.x, n)
-    return (block * rule.w[:, None]).T @ block

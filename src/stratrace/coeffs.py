@@ -5,19 +5,24 @@ The central objects are the matrices
     G[i, j] = int_{t0}^{T} phi(t) q_i(t) (int_{t0}^{t} psi(s) q_j(s) ds) dt
 
 for a weight pair (phi, psi), their order-3 analogue for weight triples, and
-the expansion matrices of the kernel kinds.  Every running primitive (and
-the mid-level running integral of the order-3 tensors) comes from
-`quadrature._running_integral` at the outer rule's own nodes: per-panel prefix
-sums plus a spectral integration matrix on each panel.  The outer rule is
-worked out from the integrand's factors alone (one panel per smooth piece of a
-piecewise polynomial integrand, uniform panels only for oscillation), so every
-entry is exact (up to roundoff) whenever the weights and basis make the
-integrands piecewise polynomial or resolved oscillations.
-The Haar family is the exception: its functions are constant on the finest
-dyadic cells, so G and its diagonal come from three moments of (phi, psi) per
-cell, taken on the same outer rule, with no table of basis values at its
-nodes (`_haar_entries`); Legendre and Fourier contract the outer rule's
-tables, and order-3 tensors do so in every family.
+the expansion matrices of the kernel kinds: expansion coefficients
+C[j_k, ..., j_1] = int w_k q_{j_k} (int ... (int w_1 q_{j_1})) of
+multiplicity k = 1 (`weight_basis_inner`), 2 (G) and 3 (the tensors).  Every
+multiplicity takes its rule from `_expansion_rule`, of degree the k weights'
+and k basis blocks' degrees plus one per running integral (k - 1), and its
+tables from `_expansion_tables`: the outer weight times the basis block, and
+the nested running integrals of the inner levels from
+`quadrature._running_integral` at the rule's own nodes (per-panel prefix sums
+plus a spectral integration matrix on each panel).  The rule is worked out
+from the factors alone (one panel per smooth piece of a piecewise polynomial
+integrand, uniform panels only for oscillation), so every entry is exact (up
+to roundoff) whenever the weights and basis make the integrands piecewise
+polynomial or resolved oscillations.
+The Haar family's G is the exception: its functions are constant on the
+finest dyadic cells, so G and its diagonal come from three moments of
+(phi, psi) per cell, taken on the same rule, with no table of basis values at
+its nodes (`_haar_entries`); Legendre and Fourier contract the tables, and
+order-3 tensors do so in every family.
 A kernel's matrix comes from the same engine: every kind is built from two
 factor weights (a, b), so its matrix is G(a, b), G + G^T, or an outer product
 of two `weight_basis_inner` vectors.  The test suite keeps a two-dimensional
@@ -105,7 +110,7 @@ def _result(cls, entries, basis: OrthonormalBasis, weight_ids: tuple):
 
 
 # ---------------------------------------------------------------------------
-# shared demand bookkeeping
+# the rule and tables of the expansion coefficients of every multiplicity
 
 
 def _check_inputs(basis: OrthonormalBasis, count: int, *weights: WeightFunction):
@@ -118,19 +123,33 @@ def _check_inputs(basis: OrthonormalBasis, count: int, *weights: WeightFunction)
             )
 
 
-def _volterra_tables(phi, psi, basis, count):
-    """Tables on one outer rule whose contraction over nodes gives G:
-    left[g, i] = w_g phi(x_g) q_i(x_g) and the running primitive Psi[g, j]."""
-    _check_inputs(basis, count, phi, psi)
-    # phi q_i R(psi q_j) has degree phi + psi + 2b + 1: one running integral;
-    # integrals=2 asks one more, a spare degree kept so node counts (and
-    # where the node cap bites) stay put
+def _expansion_rule(weights, basis, count):
+    """The one rule for the coefficients int w_k q_{j_k} (int ... int w_1 q_{j_1})
+    with `weights` = (w_1, ..., w_k) listed innermost first: the k weights, one
+    basis block per weight, and one degree per running integral (k - 1)."""
+    _check_inputs(basis, count, *weights)
     q = basis.factor(count)
-    rule = integrand_rule(basis.interval, (phi, psi, q, q), integrals=2)
-    q_out = basis.evaluate_block(rule.x, count)
-    psi_run = _running_integral(rule, psi(rule.x)[:, None] * q_out)
-    left = (rule.w * phi(rule.x))[:, None] * q_out
-    return left, psi_run
+    return integrand_rule(basis.interval, (*weights, *[q] * len(weights)),
+                          integrals=len(weights) - 1)
+
+
+def _expansion_tables(weights, basis, count):
+    """Tables on `_expansion_rule` whose contraction over nodes gives the
+    coefficients: outer[g, j_k] = w_g w_k(x_g) q_{j_k}(x_g), and the running
+    integral of the inner levels at each node, running[g, m] with
+    m = j_{k-1} count^{k-2} + ... + j_1 (the outermost inner index first)."""
+    rule = _expansion_rule(weights, basis, count)
+    q = basis.evaluate_block(rule.x, count)
+    running = None
+    for w in weights[:-1]:
+        level = w(rule.x)[:, None] * q
+        if running is not None:
+            # this level's integrand: w q_j times the running integral below it
+            level = (level[:, :, None] * running[:, None, :]).reshape(len(rule.x), -1)
+        running = _running_integral(rule, level)
+        del level  # up to nodes x count^(k-1) values: not held while the outer table is built
+    outer = (rule.w * weights[-1](rule.x))[:, None] * q
+    return outer, running
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +166,10 @@ def _exclusive_cumsum(x: np.ndarray) -> np.ndarray:
 def _haar_cell_moments(phi, psi, basis, count):
     """Three moments of (phi, psi) on each finest dyadic cell c of the first
     `count` Haar functions: A_c = int_c phi, B_c = int_c psi and
-    C_c = int_c phi(t) int_{left(c)}^t psi(s) ds dt, on the rule
-    `_volterra_tables` builds, with no basis block."""
-    _check_inputs(basis, count, phi, psi)
-    q = basis.factor(count)
-    rule = integrand_rule(basis.interval, (phi, psi, q, q), integrals=2)
-    iv, cells = basis.interval, len(q.breakpoints) + 1
+    C_c = int_c phi(t) int_{left(c)}^t psi(s) ds dt, on the rule of G,
+    with no basis block."""
+    rule = _expansion_rule((psi, phi), basis, count)
+    iv, cells = basis.interval, len(basis.breakpoints(count)) + 1
     # the cell edges are rule edges, so each panel lies in one cell
     mid = 0.5 * (rule.edges[:-1] + rule.edges[1:])
     panel_cell = np.minimum((mid - iv.t0) * (cells / iv.length), cells - 1).astype(np.intp)
@@ -243,8 +260,8 @@ def _volterra_entries(phi, psi, basis, count, diagonal: bool) -> np.ndarray:
     in the Haar basis, from the outer rule's tables in the others."""
     if basis.family == "haar":
         return _haar_entries(phi, psi, basis, count, diagonal)
-    left, psi_run = _volterra_tables(phi, psi, basis, count)
-    return np.einsum("gi,gi->i", left, psi_run) if diagonal else left.T @ psi_run
+    outer, running = _expansion_tables((psi, phi), basis, count)
+    return np.einsum("gi,gi->i", outer, running) if diagonal else outer.T @ running
 
 
 def coefficient_matrix(
@@ -284,8 +301,7 @@ def volterra_norm_sq(phi: WeightFunction, psi: WeightFunction) -> float:
 
 def weight_basis_inner(w: WeightFunction, basis: OrthonormalBasis, count: int) -> np.ndarray:
     """Vector of inner products (w, q_i) for i < count."""
-    _check_inputs(basis, count, w)
-    rule = integrand_rule(basis.interval, (w, basis.factor(count)))
+    rule = _expansion_rule((w,), basis, count)
     q = basis.evaluate_block(rule.x, count)
     return (rule.w * w(rule.x)) @ q
 
@@ -340,22 +356,12 @@ def tensor_coefficients(
     the iterated integral over t > s > r with w1 innermost and w3 outermost.
 
     Three nesting levels on one outer rule: the innermost primitive
-    Psi1 = R(w1 q) and the mid-level running integral R(w2 q (x) Psi1) are both
+    R(w1 q) and the mid-level running integral R(w2 q (x) R(w1 q)) are both
     taken at the outer nodes, and the outer rule finishes the job.
     """
-    _check_inputs(basis, count, w1, w2, w3)
-    # two running integrals; integrals=3 adds one spare degree, as in
-    # `_volterra_tables`
-    q = basis.factor(count)
-    rule = integrand_rule(basis.interval, (w1, w2, w3, q, q, q), integrals=3)
-    q_out = basis.evaluate_block(rule.x, count)
-    # psi1[g, i1]: the innermost primitive at each outer node
-    psi1 = _running_integral(rule, w1(rule.x)[:, None] * q_out)
-    # lam[g, i2, i1]: the mid-level running integral at each outer node
-    lam = _running_integral(rule, (w2(rule.x)[:, None] * q_out)[:, :, None] * psi1[:, None, :])
-    # the outer rule as one matrix product: (outer.T @ lam)[i3, i2 * count + i1]
-    outer = (rule.w * w3(rule.x))[:, None] * q_out
-    entries = (outer.T @ lam.reshape(len(rule.w), count * count)).reshape((count,) * 3)
+    outer, running = _expansion_tables((w1, w2, w3), basis, count)
+    # the outer rule as one matrix product: (outer.T @ running)[i3, i2 * count + i1]
+    entries = (outer.T @ running).reshape((count,) * 3)
     entries = np.ascontiguousarray(entries.transpose(2, 1, 0))
     return _result(CoefficientTensor, entries, basis, (w1.id, w2.id, w3.id))
 
@@ -376,7 +382,7 @@ _MAGIC = b"STRC"
 _VERSION = 1
 # enters every cache key; bump it whenever an engine change may move the
 # numbers, so files written by an older engine are recomputed, not served
-_ENGINE_VERSION = 4
+_ENGINE_VERSION = 5
 
 
 def _digest(parts: dict) -> str:

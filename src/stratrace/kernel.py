@@ -40,7 +40,6 @@ __all__ = [
     "ComplexExponential",
     "SeparableRankOne",
     "FactorPair",
-    "evaluate_kernel",
     "averaging",
     "default_eps_schedule",
     "diagonal_trace",
@@ -259,17 +258,6 @@ class ComplexExponential(_IntegerPair):
     @property
     def phase(self):
         return (abs(self.n) + abs(self.m)) * self.interval.length
-
-
-def evaluate_kernel(spec: Kernel, t, tau):
-    """Pointwise kernel value(s); validates that the points lie in the square."""
-    iv = spec.interval
-    if not (iv.contains(t) and iv.contains(tau)):
-        raise ValueError(f"points fall outside the square over {iv.id}")
-    out = spec.evaluate(t, tau)
-    if np.ndim(t) == 0 and np.ndim(tau) == 0:
-        return complex(out) if spec.is_complex else float(out)
-    return out
 
 
 # least Gauss nodes per box panel, in both variables

@@ -13,7 +13,9 @@ argument.
 Engines get their rules from one builder, `integrand_rule`: they list their
 integrand's factors (weights, a kernel once per variable, basis blocks from
 `OrthonormalBasis.factor`) and running integrals; it sums the degrees and
-phases and unites the breakpoints.
+phases and unites the breakpoints.  Every engine follows one demand rule: a
+rule's degree is its factors' degrees plus one per running integral, no
+more, which `_running_integral` shows to be enough.
 
 Running integrals x_g -> int_{t0}^{x_g} f at a composite rule's own nodes,
 which every coefficient engine and the reduced tensor limits need, are built
@@ -124,7 +126,8 @@ class CompositeRule:
         return len(self.edges) - 1
 
     def integrate(self, values: np.ndarray):
-        return np.tensordot(values, self.w, axes=([0], [0])) if values.ndim > 1 else values @ self.w
+        """sum_g w_g f(x_g), from one integrand's values f(x_g) at the nodes."""
+        return values @ self.w
 
     def panel_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-panel integral of point values sampled on this rule.

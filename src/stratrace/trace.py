@@ -72,9 +72,12 @@ def verify_kernel_trace(
     """Diagonal partial sums of a kernel's expansion matrix against the
     integral of the kernel along the diagonal.
 
-    Only kernel kinds certified trace class (a closed-form factorization or
-    finite rank) are accepted; the one-sided product kernel is rejected, its
-    statement lives in `verify_volterra_trace`.
+    Every mirrored or stepless kind is accepted; the one-sided product
+    kernel is rejected, its statement lives in `verify_volterra_trace`.  The
+    check is on the kernel's shape alone: no kind is certified trace class
+    here, and `explicit_factor_pair` has a factorization for only some of the
+    mirrored kinds (not `SymmetrizedVolterra`); that certification gap is an
+    open item of ROADMAP.md.
     """
     if spec.has_step and not spec.mirrored:
         raise ValueError(

@@ -280,7 +280,7 @@ def test_negative_seed_exits_one_naming_the_field(tmp_path, monkeypatch, capsys)
 
 def test_node_cap_overrun_exits_one(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    code = main(["theorem2", "--phi", "poly:1", "--psi", "poly:1",
+    code = main(["theorem2", "--phi", "poly:0,1", "--psi", "poly:0,1",
                  "--basis", "legendre", "--nmax", "4096"])
     assert code == 1
     assert "demand of 4097 nodes per panel exceeds cap 4096" in capsys.readouterr().err

@@ -42,7 +42,7 @@ from stratrace import (
 from stratrace import cli
 from stratrace import coeffs as coeffs_module
 from stratrace.coeffs import CoefficientTensor, cache_path
-from stratrace.quadrature import _running_integral, integrand_rule, nodes_for, scaled_segments
+from stratrace.quadrature import integrand_rule, nodes_for, scaled_segments
 
 from conftest import UNIT, make_basis, poly
 from test_stochastic import _traced_peak
@@ -51,6 +51,7 @@ ONE = poly(1.0)
 TEE = poly(0.0, 1.0)
 TSQ = poly(0.0, 0.0, 1.0)
 P3 = poly(0.3, -0.7, 0.2, 0.9)
+P2 = poly(0.5, 0.0, 1.0)
 _GRID = np.linspace(0.0, 1.0, 17)
 TABLE = TabulatedWeight(_GRID, np.cos(3.0 * _GRID) + _GRID**2, UNIT)
 TRIG = TrigSumWeight(((0, 0.0, 0.5), (1, 1.0, 0.25), (3, -0.5, 0.75)), UNIT)
@@ -193,8 +194,8 @@ HAAR_PAIRS = {"poly": (P3, TSQ), "trig": (TRIG, TAB), "table": (TAB, TRIG), "gri
 def _generic_tables(phi, psi, basis, count):
     """G and its diagonal contracted from the outer rule's tables, as the
     Legendre and Fourier families still get them."""
-    left, psi_run = coeffs_module._volterra_tables(phi, psi, basis, count)
-    return left.T @ psi_run, np.einsum("gi,gi->i", left, psi_run)
+    outer, running = coeffs_module._expansion_tables((psi, phi), basis, count)
+    return outer.T @ running, np.einsum("gi,gi->i", outer, running)
 
 
 def _haar_support(i, count):
@@ -518,6 +519,9 @@ def test_tensor_with_mixed_weights_against_oracle():
     (ONE, poly(*[0.0] * 6, 1.0), 8),
     (poly(0.5, 1.0), poly(1.0, -2.0, 0.5, 3.0, -1.0, 0.25, 2.0, -0.75, 1.5), 16),
     (TEE, TSQ, 16),
+    # degree 2 + 2 + 5 + 5 + 1 = 15 is odd: 8 nodes meet it with no degree to
+    # spare (pinned in tests/test_demands.py)
+    (P2, P2, 6),
 ])
 def test_matrix_against_polynomial_algebra_oracle(phi, psi, count):
     # the running weight outgrows the outer rule's per-panel interpolation
@@ -531,6 +535,9 @@ def test_matrix_against_polynomial_algebra_oracle(phi, psi, count):
 @pytest.mark.parametrize("weights", [
     (poly(*[0.0] * 6, 1.0), ONE, ONE),
     (ONE, poly(*[0.0] * 6, 1.0), ONE),
+    # degree 3 * 2 + 3 * 3 + 2 = 17 is odd: 9 nodes meet it with no degree to
+    # spare (pinned in tests/test_demands.py)
+    (P2, P2, P2),
 ])
 def test_tensor_with_a_high_degree_inner_weight_against_oracle(weights):
     leg = make_basis("legendre", 4)
@@ -561,12 +568,8 @@ def test_low_truncations_of_a_high_degree_weight_against_the_algebra_oracles(d, 
 def _oracle_einsum_tensor(w1, w2, w3, basis, count):
     """The tensor with the outer rule applied by one three-operand einsum,
     frozen: the reference the matrix-product contraction must match."""
-    q = basis.factor(count)
-    rule = integrand_rule(basis.interval, (w1, w2, w3, q, q, q), integrals=3)
-    q_out = basis.evaluate_block(rule.x, count)
-    psi1 = _running_integral(rule, w1(rule.x)[:, None] * q_out)
-    lam = _running_integral(rule, (w2(rule.x)[:, None] * q_out)[:, :, None] * psi1[:, None, :])
-    return np.einsum("g,go,gjk->kjo", rule.w * w3(rule.x), q_out, lam)
+    outer, running = coeffs_module._expansion_tables((w1, w2, w3), basis, count)
+    return np.einsum("go,gjk->kjo", outer, running.reshape(-1, count, count))
 
 
 @pytest.mark.parametrize("count", [8, 16, 32])

@@ -1,12 +1,14 @@
 """The quadrature demand of every engine rule, pinned.
 
-Each engine asks `integrand_rule` for one rule per integrand.  These tests
-capture the rules it returns and pin their per-panel node counts and panel
-edges, so a demand that drifts (a factor dropped or doubled, a running
-integral miscounted, a breakpoint lost) fails here before it moves a number.  A rule without oscillation has one panel per breakpoint
-interval and exactly the nodes its degree demands; cases of both degree
-parities catch a drift of one degree either way.  An oscillatory rule adds
-the 16 uniform panels (UNIFORM16) to its breakpoints.
+Each engine asks `integrand_rule` for one rule per integrand, and every
+engine follows one demand rule: the rule's degree is its factors' degrees
+plus one per running integral.  These tests capture the rules it returns and
+pin their per-panel node counts and panel edges, so a demand that drifts (a
+factor dropped or doubled, a running integral miscounted, a breakpoint lost)
+fails here before it moves a number.  A rule without oscillation has one
+panel per breakpoint interval and exactly the nodes its degree demands;
+cases of both degree parities catch a drift of one degree either way.  An
+oscillatory rule adds the 16 uniform panels (UNIFORM16) to its breakpoints.
 """
 
 import numpy as np
@@ -21,7 +23,6 @@ from stratrace import (
     TabulatedWeight,
     TrigSumWeight,
     diagonal_trace,
-    gram_matrix,
     inner_product,
     kernel_diagonal,
     tensor_coefficients,
@@ -29,7 +30,7 @@ from stratrace import (
     volterra_norm_sq,
     weight_basis_inner,
 )
-from stratrace import basis, coeffs, kernel, quadrature, trace
+from stratrace import coeffs, kernel, quadrature, trace
 from stratrace.kernel import _diagonal_integral
 from stratrace.trace import _reduced_limit_vector
 
@@ -55,7 +56,7 @@ def rules(monkeypatch):
         seen.append((rule.nodes_per_panel, rule.edges))
         return rule
 
-    for module in (basis, coeffs, kernel, trace):
+    for module in (coeffs, kernel, trace):
         monkeypatch.setattr(module, "integrand_rule", capture)
     return seen
 
@@ -68,7 +69,7 @@ def _check(rules, call, expected):
 
 
 @pytest.mark.parametrize("phi, psi, family, count, expected", [
-    (P2, P2, "legendre", 6, [(9, ())]),
+    (P2, P2, "legendre", 6, [(8, ())]),
     (P3, P2, "legendre", 6, [(9, ())]),
     (TRIG, TAB, "fourier", 5, [(18, UNIFORM16 + TAB_BREAKS)]),
     (TAB, P2, "haar", 8, [(3, HAAR8 + TAB_BREAKS)]),
@@ -78,9 +79,9 @@ def test_volterra_tables_demand(rules, phi, psi, family, count, expected):
 
 
 @pytest.mark.parametrize("ws, family, count, expected", [
-    ((P2, P2, P2), "legendre", 4, [(10, ())]),
+    ((P2, P2, P2), "legendre", 4, [(9, ())]),
     ((P3, P2, P2), "legendre", 4, [(10, ())]),
-    ((TRIG, P2, TAB), "fourier", 4, [(21, UNIFORM16 + TAB_BREAKS)]),
+    ((TRIG, P2, TAB), "fourier", 4, [(20, UNIFORM16 + TAB_BREAKS)]),
     ((TAB, P2, P3), "haar", 8, [(5, HAAR8 + TAB_BREAKS)]),
 ])
 def test_tensor_coefficients_demand(rules, ws, family, count, expected):
@@ -106,17 +107,17 @@ def test_weight_basis_inner_demand(rules, w, family, count, expected):
     _check(rules, lambda: weight_basis_inner(w, make_basis(family, count), count), expected)
 
 
-# a kernel's rules are those of its factor weights (a, b): one
-# `_volterra_tables` rule for a stepped kind, two `weight_basis_inner` rules
+# a kernel's rules are those of its factor weights (a, b): the one rule of
+# G(a, b) for a stepped kind, two `weight_basis_inner` rules
 # (a, then b) for the stepless one
 @pytest.mark.parametrize("spec, family, count, expected", [
     (SymmetrizedVolterra(P3, P2), "legendre", 4, [(7, ())]),
     (MonomialMax(2, 1, UNIT), "haar", 8, [(4, HAAR8)]),
-    (ComplexExponential(1, 3, UNIT), "fourier", 3, [(17, UNIFORM16)]),
+    (ComplexExponential(1, 3, UNIT), "fourier", 3, [(16, UNIFORM16)]),
     (SymmetrizedVolterra(TAB, TRIG), "legendre", 3, [(19, UNIFORM16 + TAB_BREAKS)]),
     (SeparableRankOne(TRIG, TAB), "fourier", 5,
      [(17, UNIFORM16), (16, UNIFORM16 + TAB_BREAKS)]),
-    (ComplexExponential(7, -9, UNIT), "legendre", 3, [(19, UNIFORM16)]),
+    (ComplexExponential(7, -9, UNIT), "legendre", 3, [(18, UNIFORM16)]),
 ])
 def test_kernel_matrix_demand(rules, spec, family, count, expected):
     _check(rules, lambda: kernel_diagonal(spec, make_basis(family, count), count), expected)
@@ -140,15 +141,6 @@ def test_inner_product_demand(rules, phi, psi, expected):
 def test_reduced_limit_vector_demand(rules, pair, outer, family, n_reduced, expected):
     _check(rules, lambda: _reduced_limit_vector(
         pair, outer, make_basis(family, n_reduced), n_reduced, from_left=True), expected)
-
-
-@pytest.mark.parametrize("family, count, expected", [
-    ("legendre", 6, [(6, ())]),
-    ("fourier", 5, [(17, UNIFORM16)]),
-    ("haar", 8, [(1, HAAR8)]),
-])
-def test_gram_matrix_demand(rules, family, count, expected):
-    _check(rules, lambda: gram_matrix(make_basis(family, count), count), expected)
 
 
 @pytest.mark.parametrize("spec, expected", [

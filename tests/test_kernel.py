@@ -18,7 +18,6 @@ from stratrace import (
     averaging,
     default_eps_schedule,
     diagonal_trace,
-    evaluate_kernel,
     explicit_factor_pair,
     factorization_residual,
     gauss_rule,
@@ -39,48 +38,43 @@ TEE = poly(0.0, 1.0)
 
 def test_symmetrized_constant_kernel_is_one_off_diagonal():
     spec = SymmetrizedVolterra(ONE, ONE)
-    assert evaluate_kernel(spec, 0.3, 0.7) == pytest.approx(1.0)
-    assert evaluate_kernel(spec, 0.7, 0.3) == pytest.approx(1.0)
-    assert evaluate_kernel(spec, 0.5, 0.5) == pytest.approx(1.0)
+    assert spec.evaluate(0.3, 0.7) == pytest.approx(1.0)
+    assert spec.evaluate(0.7, 0.3) == pytest.approx(1.0)
+    assert spec.evaluate(0.5, 0.5) == pytest.approx(1.0)
 
 
 def test_volterra_product_vanishes_above_the_diagonal():
     spec = VolterraProduct(ONE, ONE)
-    assert evaluate_kernel(spec, 0.2, 0.6) == 0.0
-    assert evaluate_kernel(spec, 0.6, 0.2) == 1.0
+    assert spec.evaluate(0.2, 0.6) == 0.0
+    assert spec.evaluate(0.6, 0.2) == 1.0
 
 
 def test_min_kernel_pointwise():
     spec = MonomialMin(0, 1, UNIT)
-    assert evaluate_kernel(spec, 0.6, 0.2) == pytest.approx(0.2)
-    assert evaluate_kernel(spec, 0.2, 0.6) == pytest.approx(0.2)
+    assert spec.evaluate(0.6, 0.2) == pytest.approx(0.2)
+    assert spec.evaluate(0.2, 0.6) == pytest.approx(0.2)
     spec12 = MonomialMin(1, 2, UNIT)
-    assert evaluate_kernel(spec12, 0.5, 0.25) == pytest.approx(0.5 * 0.25 * 0.25**2)
+    assert spec12.evaluate(0.5, 0.25) == pytest.approx(0.5 * 0.25 * 0.25**2)
 
 
 def test_max_kernel_pointwise():
     spec = MonomialMax(1, 2, UNIT)
-    assert evaluate_kernel(spec, 0.5, 0.25) == pytest.approx(0.5 * 0.25 * 0.5**2)
+    assert spec.evaluate(0.5, 0.25) == pytest.approx(0.5 * 0.25 * 0.5**2)
 
 
 def test_complex_exponential_pointwise():
     spec = ComplexExponential(0, 1, UNIT)
     t, tau = 0.6, 0.2
-    assert evaluate_kernel(spec, t, tau) == pytest.approx(np.exp(1j * min(t, tau)))
+    assert spec.evaluate(t, tau) == pytest.approx(np.exp(1j * min(t, tau)))
     spec21 = ComplexExponential(2, 1, UNIT)
     expected = np.exp(2j * t) * np.exp(2j * tau) * np.exp(-1j * min(t, tau))
-    assert evaluate_kernel(spec21, t, tau) == pytest.approx(expected)
+    assert spec21.evaluate(t, tau) == pytest.approx(expected)
 
 
 def test_rank_one_kernel_is_a_plain_product():
     spec = SeparableRankOne(TEE, ONE)
-    assert evaluate_kernel(spec, 0.4, 0.9) == pytest.approx(0.4)
+    assert spec.evaluate(0.4, 0.9) == pytest.approx(0.4)
     assert not spec.has_step
-
-
-def test_points_outside_square_rejected():
-    with pytest.raises(ValueError):
-        evaluate_kernel(MonomialMin(0, 1, UNIT), 1.4, 0.5)
 
 
 def test_kernel_parameter_validation():
@@ -122,7 +116,7 @@ def test_two_sided_kernels_are_symmetric(t, tau):
         SymmetrizedVolterra(ONE, TEE),
         ComplexExponential(1, 2, UNIT),
     ):
-        assert evaluate_kernel(spec, t, tau) == evaluate_kernel(spec, tau, t)
+        assert spec.evaluate(t, tau) == spec.evaluate(tau, t)
 
 
 @settings(max_examples=40, deadline=None)
@@ -132,8 +126,8 @@ def test_symmetrized_glues_the_two_one_sided_products(t, tau):
         return
     sym = SymmetrizedVolterra(TEE, ONE)
     low = VolterraProduct(TEE, ONE)
-    glued = evaluate_kernel(low, t, tau) + evaluate_kernel(low, tau, t)
-    assert evaluate_kernel(sym, t, tau) == pytest.approx(glued, abs=1e-14)
+    glued = low.evaluate(t, tau) + low.evaluate(tau, t)
+    assert sym.evaluate(t, tau) == pytest.approx(glued, abs=1e-14)
 
 
 # -- box averaging ------------------------------------------------------------

@@ -132,11 +132,12 @@ def test_nodes_for_raises_beyond_cap():
 
 
 def test_legendre_node_cap_is_reached_at_4096_terms():
-    # N terms need 2N + 2 degrees of exactness: N = 4096 asks for 4097 nodes a
-    # panel, one past the cap; the rule is refused before any evaluation
-    one = poly(1.0)
+    # N terms with linear weights need degree 1 + 1 + 2(N - 1) + 1 = 2N + 1:
+    # N = 4096 asks for 4097 nodes a panel, one past the cap; the rule is
+    # refused before any evaluation
+    tee = poly(0.0, 1.0)
     with pytest.raises(QuadratureError, match="demand of 4097 nodes per panel exceeds cap 4096"):
-        volterra_diagonal(one, one, make_basis("legendre", 4096), 4096)
+        volterra_diagonal(tee, tee, make_basis("legendre", 4096), 4096)
 
 
 def test_integrand_rule_sums_degrees_and_phases_and_unites_breakpoints():
