@@ -557,7 +557,8 @@ _FLAG_OPTIONS = {
     "eps_kmax": {"help": "schedule ends at L/2^kmax"},
     "pair": {"choices": _CHOICES["pair"], "help": "slots to trace over"},
     "workers": {"help": "worker processes; they split the fixed 4096-path blocks and never "
-                        "change results (default 1)"},
+                        "change results, but are slower than one process unless BLAS is "
+                        "pinned to one thread, e.g. OPENBLAS_NUM_THREADS=1 (default 1)"},
     "distinct": {"help": "use independent noises in the two layers"},
     "scheme": {"choices": _CHOICES["scheme"]},
     "mesh": {"help": "Brownian oracle mesh"},

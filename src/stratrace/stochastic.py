@@ -16,21 +16,24 @@ the left-endpoint (Ito) one.
 Randomness comes in fixed blocks of BLOCK_PATHS paths.  Each block has one
 generator per noise, keyed by (seed, block, stream): stream 0 gives zeta,
 stream 1 gives eta and stream 2 the increments of the Brownian oracle.  The
-expansion draws are coordinate-major, an (n, BLOCK_PATHS) array drawn whole,
+expansion draws are coordinate-major, (n, BLOCK_PATHS) draws in row order,
 so coordinate i of path k depends only on (seed, k, i, stream): not on the
 number of paths, the truncation (N = 8 is a prefix of N = 16) or the number
-of worker processes.  One matrix product per block contracts the draws with
-the coefficient matrix.  Two independent oracles are provided: a standalone
+of worker processes.  Matrix products contract the draws with the
+coefficient matrix.  Two independent oracles are provided: a standalone
 quadrature of the truncated smooth path, and a midpoint discretization of a
 genuine Brownian path on a fine mesh.
 
 Two kinds of block appear below and must not be confused.  Key blocks (the
 BLOCK_PATHS campaign blocks and the oracle's `_BROWNIAN_BLOCK_VALUES`
-blocks) decide which paths share a generator, so they define the samples.
-Sub-blocks (`_BROWNIAN_ROW_VALUES`, `_ORACLE_PANELS`, `_PATH_COLUMNS`) only
-bound the memory an oracle or a campaign block holds at once: each is worked
-through in sequence, and every sample is bitwise the same whatever their
-size.
+blocks) decide which paths share a generator, so they define the draws.
+Sub-blocks only bound the memory an oracle or a campaign block holds at
+once, and each is worked through in sequence.  For `_BROWNIAN_ROW_VALUES`,
+`_ORACLE_PANELS` and `_PATH_COLUMNS` every value is bitwise the same
+whatever their size.  `_ETA_ROWS`, the rows of eta drawn at once in a
+distinct-noise block, also fixes the order in which the rows of the form
+zeta^T G eta are summed: changing it moves those samples at roundoff, never
+a draw, since the rows continue one stream.
 """
 
 from __future__ import annotations
@@ -60,12 +63,15 @@ BLOCK_PATHS = 4096
 _BROWNIAN_BLOCK_VALUES = 256 * 2 ** 14
 # normals drawn and reduced at once inside a key block; bounds memory only
 _BROWNIAN_ROW_VALUES = 2 ** 18
-# panels of `smooth_path_oracle` whose in-panel partials are built at once;
-# bounds memory only
+# panels of `smooth_path_oracle` whose panel integrals and in-panel partials
+# are built at once; bounds memory only
 _ORACLE_PANELS = 256
-# paths of a campaign block whose G^T zeta columns are formed at once;
-# bounds memory only
+# paths of a same-noise campaign block whose G^T zeta columns are formed at
+# once; bounds memory only
 _PATH_COLUMNS = 1024
+# rows of eta drawn and contracted at once in a distinct-noise block; bounds
+# memory and fixes the order of the sum over rows
+_ETA_ROWS = 32
 # stream tags of the block generators
 _ZETA, _ETA, _BROWNIAN = 0, 1, 2
 
@@ -114,9 +120,16 @@ def smooth_path_oracle(
     Deliberately self-contained: a uniform composite Gauss rule of 4 nodes
     on each of `mesh` panels, with its own prefix-sum bookkeeping, sharing no
     code with the coefficient engine, so a match against the quadratic form
-    checks the whole pipeline.  The in-panel partials are built
-    `_ORACLE_PANELS` panels at a time; that bounds memory and changes no
-    value, since every partial is a sum within its own node.
+    checks the whole pipeline.
+
+    Memory: the basis table at the nodes (nodes x N) and the running
+    integrals (nodes x N) are never alive together.  The panel integrals are
+    taken from the table `_ORACLE_PANELS` panels at a time, its product with
+    the outer coordinates is formed, and the table is dropped before the
+    running integrals are built, again `_ORACLE_PANELS` panels at a time.
+    Neither split changes a value: each panel integral and in-panel partial
+    is a sum within its own panel or node, and every matrix product runs on
+    whole arrays.
     """
     mesh = _count("mesh", mesh, 1)
     nodes = 4
@@ -135,9 +148,17 @@ def smooth_path_oracle(
     # node, one column per basis function) acting on the inner coordinates:
     # prefix over full panels plus an in-panel partial computed with the same
     # reference rule
-    panel_int = ((w * psi(x))[:, None] * values).reshape(mesh, nodes, N).sum(axis=1)
+    weighted = w * psi(x)
+    panel_int = np.empty((mesh, N))
+    for first in range(0, mesh, _ORACLE_PANELS):
+        stop = min(first + _ORACLE_PANELS, mesh)
+        rows = slice(first * nodes, stop * nodes)
+        panel_int[first:stop] = (weighted[rows, None] * values[rows]).reshape(-1, nodes, N).sum(axis=1)
+    outer = values @ zeta.T
+    del values  # not held beside the running integrals
     prefix = np.concatenate([np.zeros((1, N)), np.cumsum(panel_int, axis=0)[:-1]])
     running = np.repeat(prefix, nodes, axis=0)
+    del panel_int, prefix
     for first in range(0, mesh, _ORACLE_PANELS):
         stop = min(first + _ORACLE_PANELS, mesh)
         rows = slice(first * nodes, stop * nodes)
@@ -150,7 +171,7 @@ def smooth_path_oracle(
         running[rows] += terms.reshape(len(span), nodes, N).sum(axis=1)
         del terms  # not held while the next chunk's basis block is built
 
-    out = (w * phi(x)) @ ((running @ inner_coords.T) * (values @ zeta.T))
+    out = (w * phi(x)) @ ((running @ inner_coords.T) * outer)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -228,29 +249,46 @@ def brownian_midpoint_oracle(
     )
 
 
-def _block_draws(master_seed: int, block: int, same_process: bool, n: int):
-    """zeta of one block and the noise of its inner layer (zeta itself for
-    the same noise), each drawn once."""
-    zeta = _block_normals(master_seed, block, _ZETA, n)
-    return zeta, zeta if same_process else _block_normals(master_seed, block, _ETA, n)
-
-
-def _block_samples(G: np.ndarray, zeta: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """zeta_p^T G inner_p for every path p of a block, from one matrix product
-    per `_PATH_COLUMNS` paths; a column of G^T zeta depends on its own path
-    alone, so the split changes no sample."""
+def _block_samples(G: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """zeta_p^T G zeta_p for every path p of a same-noise block, from one
+    matrix product per `_PATH_COLUMNS` paths; a column of G^T zeta depends on
+    its own path alone, so the split changes no sample."""
     samples = np.empty(zeta.shape[1])
     for first in range(0, zeta.shape[1], _PATH_COLUMNS):
         cols = slice(first, first + _PATH_COLUMNS)
-        samples[cols] = np.einsum("ip,ip->p", G.T @ zeta[:, cols], inner[:, cols])
+        samples[cols] = np.einsum("ip,ip->p", G.T @ zeta[:, cols], zeta[:, cols])
     return samples
+
+
+def _block(G: np.ndarray, master_seed: int, block: int, same_process: bool, keep: int = 0):
+    """Samples of all BLOCK_PATHS paths of one block, its zeta, and the first
+    `keep` columns of eta (None for the same noise); each stream is drawn
+    once.
+
+    A distinct-noise block draws eta `_ETA_ROWS` rows at a time and never
+    holds it whole.  The rows continue one stream, so every draw equals the
+    whole (n, BLOCK_PATHS) draw; the samples are sums over row chunks, which
+    round differently from one product over all rows.
+    """
+    n = G.shape[0]
+    zeta = _block_normals(master_seed, block, _ZETA, n)
+    if same_process:
+        return _block_samples(G, zeta), zeta, None
+    gen = _block_generator(master_seed, block, _ETA)
+    samples = np.zeros(BLOCK_PATHS)
+    kept = np.empty((n, keep))
+    for first in range(0, n, _ETA_ROWS):
+        rows = slice(first, min(first + _ETA_ROWS, n))
+        eta = gen.standard_normal((rows.stop - first, BLOCK_PATHS))
+        samples += np.einsum("jp,jp->p", G[:, rows].T @ zeta, eta)
+        kept[rows] = eta[:, :keep]
+    return samples, zeta, kept
 
 
 def _simulate_block(args) -> np.ndarray:
     """Samples of all BLOCK_PATHS paths of one block; module level so worker
     processes can unpickle it."""
-    G, master_seed, block, same_process = args
-    return _block_samples(G, *_block_draws(master_seed, block, same_process, G.shape[0]))
+    return _block(*args)[0]
 
 
 def mc_campaign(
@@ -269,15 +307,24 @@ def mc_campaign(
 
     Paths are simulated in whole blocks of BLOCK_PATHS (see the module
     docstring), the last block drawn whole and cut, so the sample of path k
-    depends only on (seed, k) and the matrix; `workers` > 1 splits the
-    blocks between processes and never changes the payload.  The matrix
-    comes from `cached_coefficient_matrix`, so with STRC_CACHE_DIR set a
-    stored matrix is reused.  The report carries the exact variance of the
-    form, 2 ||(G + G^T)/2||_F^2 for the same noise and ||G||_F^2 for
-    independent noises, and the z-score of the mean against it.  With
-    `oracle_draws` > 0 the first min(oracle_draws, n_paths, BLOCK_PATHS)
-    samples of block 0 are recomputed through `smooth_path_oracle` and the
-    root-mean-square discrepancy is attached to the report.
+    depends only on (seed, k) and the matrix.  `workers` > 1 splits the
+    blocks between processes and never changes the payload.  A pool is
+    slower than one process unless BLAS is pinned to one thread per process
+    (OPENBLAS_NUM_THREADS=1): on a 2-core host 1e6 paths at N=64 took 3.78 s
+    with 2 workers against 1.80 s with 1.  The matrix comes from
+    `cached_coefficient_matrix`, so with STRC_CACHE_DIR set a stored matrix
+    is reused.  The report carries the exact variance of the form,
+    2 ||(G + G^T)/2||_F^2 for the same noise and ||G||_F^2 for independent
+    noises, and the z-score of the mean against it.  With `oracle_draws` > 0
+    the first min(oracle_draws, n_paths, BLOCK_PATHS) samples of block 0 are
+    recomputed through `smooth_path_oracle` and the root-mean-square
+    discrepancy is attached to the report.
+
+    Memory: a process holds one block's draws at a time.  A same-noise
+    block holds zeta (N x BLOCK_PATHS) and G^T zeta for `_PATH_COLUMNS`
+    paths; a distinct-noise block holds zeta and `_ETA_ROWS` rows of eta and
+    of G^T zeta.  Block 0 runs last, in this process, and its zeta and the
+    oracle's columns of eta stay alive through the oracle.
     """
     N = _integer("N", N)
     n_paths = _paths(n_paths)
@@ -298,13 +345,13 @@ def mc_campaign(
             later = list(pool.map(_simulate_block, tasks))
     # block 0 comes last and in this process, so that the oracle takes the
     # first columns of its draws and no other block's draws are still held
-    zeta, inner = _block_draws(seed, 0, same_process, N)
-    samples = np.concatenate([_block_samples(G, zeta, inner)] + later)[:n_paths]
+    draws = min(oracle_draws, n_paths, BLOCK_PATHS)
+    leading, zeta, eta = _block(G, seed, 0, same_process, draws)
+    samples = np.concatenate([leading] + later)[:n_paths]
 
     oracle_rms = None
     if oracle_draws > 0:
-        draws = min(oracle_draws, n_paths, BLOCK_PATHS)
-        eta = None if same_process else inner[:, :draws].T
+        eta = None if eta is None else eta.T
         ref = smooth_path_oracle(phi, psi, basis, zeta[:, :draws].T, N, eta=eta, mesh=oracle_mesh)
         oracle_rms = float(np.sqrt(np.mean((samples[:draws] - ref) ** 2)))
 

@@ -21,7 +21,7 @@ from stratrace import (
     stochastic,
 )
 from stratrace.reports import jsonable
-from stratrace.stochastic import _ETA, _ZETA, BLOCK_PATHS, _block_normals, _simulate_block
+from stratrace.stochastic import _ETA, _ETA_ROWS, _ZETA, BLOCK_PATHS, _block_normals, _simulate_block
 
 from conftest import UNIT, make_basis, poly
 
@@ -299,26 +299,64 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
+def _oracle_whole_block_samples(G, zeta, inner):
+    """zeta_p^T G inner_p for every path p of a block, frozen as the one
+    product of G^T with all its paths that blocks formed when both noises
+    were drawn whole; same-noise blocks match it bit for bit, distinct-noise
+    blocks at roundoff."""
+    return np.einsum("ip,ip->p", G.T @ zeta, inner)
+
+
 @pytest.mark.parametrize("family, N", [("legendre", 32), ("fourier", 33), ("haar", 256)])
-@pytest.mark.parametrize("same_process", [True, False])
-def test_block_samples_identical_across_path_sub_blocks(monkeypatch, family, N, same_process):
-    # the quadratic forms of one block, frozen as one product of G^T with
-    # all its paths; each path sub-block must reproduce them bit for bit
+def test_block_samples_identical_across_path_sub_blocks(monkeypatch, family, N):
+    # the same-noise quadratic forms of one block, frozen as one product of
+    # G^T with all its paths; each path sub-block must reproduce them bit for
+    # bit
     G = coefficient_matrix(P3, P2, make_basis(family, N), N).entries
     zeta = _block_normals(9, 0, _ZETA, N)
-    inner = zeta if same_process else _block_normals(9, 0, _ETA, N)
-    whole = np.einsum("ip,ip->p", G.T @ zeta, inner)
+    whole = _oracle_whole_block_samples(G, zeta, zeta)
     for columns in (256, 1000, 2048, BLOCK_PATHS):
         monkeypatch.setattr(stochastic, "_PATH_COLUMNS", columns)
-        assert np.array_equal(stochastic._block_samples(G, zeta, inner), whole)
+        assert np.array_equal(stochastic._block_samples(G, zeta), whole)
+
+
+@pytest.mark.parametrize("rows", [1, 7, _ETA_ROWS, 75])
+def test_eta_row_chunks_continue_the_whole_block_draw(monkeypatch, rows):
+    # N = 75 leaves a short last chunk for 7 and _ETA_ROWS rows
+    G = np.eye(75)
+    monkeypatch.setattr(stochastic, "_ETA_ROWS", rows)
+    _, zeta, eta = stochastic._block(G, 9, 1, False, BLOCK_PATHS)
+    assert np.array_equal(zeta, _block_normals(9, 1, _ZETA, 75))
+    assert np.array_equal(eta, _block_normals(9, 1, _ETA, 75))
+
+
+@pytest.mark.parametrize("family, N", [("legendre", 32), ("legendre", 512), ("fourier", 33),
+                                       ("fourier", 257), ("haar", 256)])
+def test_distinct_block_samples_agree_with_the_whole_block_product(family, N):
+    # row chunks of eta sum the form in another order: roundoff only, bounded
+    # by the size of G
+    G = coefficient_matrix(P3, P2, make_basis(family, N), N).entries
+    whole = _oracle_whole_block_samples(G, _block_normals(9, 0, _ZETA, N),
+                                        _block_normals(9, 0, _ETA, N))
+    streamed = _simulate_block((G, 9, 0, False))
+    assert np.max(np.abs(streamed - whole)) <= 1e-13 * np.linalg.norm(G)
 
 
 def test_campaign_block_allocation_budget():
-    # G^T zeta of a whole block beside zeta and eta held about 24.5 MiB at once
+    # zeta and eta of a whole block beside G^T zeta held about 18.5 MiB at once
     haar = make_basis("haar", 256)
     peak = _traced_peak(lambda: mc_campaign(P3, P2, haar, 256, n_paths=BLOCK_PATHS, seed=5,
                                             same_process=False))
-    assert peak < 20 * 2 ** 20
+    assert peak < 12 * 2 ** 20
+
+
+def test_distinct_campaign_with_oracle_allocation_budget():
+    # block 0's whole eta, then both oracle tables at once, held about
+    # 18.6 MiB at once
+    leg = make_basis("legendre", 64)
+    peak = _traced_peak(lambda: mc_campaign(P3, P2, leg, 64, n_paths=BLOCK_PATHS, seed=5,
+                                            same_process=False, oracle_draws=2))
+    assert peak < 12 * 2 ** 20
 
 
 def test_brownian_oracle_allocation_budget():
@@ -328,11 +366,13 @@ def test_brownian_oracle_allocation_budget():
 
 
 def test_smooth_path_oracle_allocation_budget():
-    # whole-array partials of 2048 panels held about 39.4 MiB at once
+    # whole-array partials of 2048 panels held about 39.4 MiB at once; the
+    # basis table beside the running integrals and a full-size temporary
+    # held about 14.4 MiB
     leg = make_basis("legendre", 64)
     zeta = _block_normals(5, 0, _ZETA, 64)[:, :4].T
     peak = _traced_peak(lambda: smooth_path_oracle(P3, P2, leg, zeta, 64, mesh=2048))
-    assert peak < 24 * 2 ** 20
+    assert peak < 10 * 2 ** 20
 
 
 def test_smooth_path_oracle_validates_the_mesh():
@@ -356,9 +396,12 @@ def test_campaign_mean_within_gaussian_band():
 
 def test_campaign_payload_identical_across_worker_counts():
     leg = make_basis("legendre", 4)
-    solo = mc_campaign(ONE, ONE, leg, 4, n_paths=6000, seed=17, workers=1)
-    duo = mc_campaign(ONE, ONE, leg, 4, n_paths=6000, seed=17, workers=2)
-    assert solo == duo
+    for same_process in (True, False):
+        solo = mc_campaign(ONE, ONE, leg, 4, n_paths=6000, seed=17, same_process=same_process,
+                           workers=1)
+        duo = mc_campaign(ONE, ONE, leg, 4, n_paths=6000, seed=17, same_process=same_process,
+                          workers=2)
+        assert solo == duo
 
 
 def test_campaign_distinct_processes_center_on_zero():
@@ -387,12 +430,13 @@ def test_campaign_draws_each_block_stream_once(monkeypatch, same_process, n_path
     G = coefficient_matrix(ONE, TEE, leg, 8).entries
     samples = _simulate_block((G, 3, 0, same_process))[:5]
     calls = []
+    generator = stochastic._block_generator
 
-    def counted(master_seed, block, stream, n):
+    def counted(master_seed, block, stream):
         calls.append((block, stream))
-        return _block_normals(master_seed, block, stream, n)
+        return generator(master_seed, block, stream)
 
-    monkeypatch.setattr(stochastic, "_block_normals", counted)
+    monkeypatch.setattr(stochastic, "_block_generator", counted)
     report = mc_campaign(ONE, TEE, leg, 8, n_paths=n_paths, seed=3, same_process=same_process,
                          oracle_draws=5)
     streams = (_ZETA,) if same_process else (_ZETA, _ETA)
