@@ -9,20 +9,27 @@ the expansion matrices of the kernel kinds: expansion coefficients
 C[j_k, ..., j_1] = int w_k q_{j_k} (int ... (int w_1 q_{j_1})) of
 multiplicity k = 1 (`weight_basis_inner`), 2 (G) and 3 (the tensors).  Every
 multiplicity takes its rule from `_expansion_rule`, of degree the k weights'
-and k basis blocks' degrees plus one per running integral (k - 1), and its
-tables from `_expansion_tables`: the outer weight times the basis block, and
-the nested running integrals of the inner levels from
+and k basis blocks' degrees plus one per running integral (k - 1), and is
+contracted over its nodes by `_expansion_sum`: the outer weight times the
+basis block against the nested running integrals of the inner levels from
 `quadrature._running_integral` at the rule's own nodes (per-panel prefix sums
-plus a spectral integration matrix on each panel).  The rule is worked out
-from the factors alone (one panel per smooth piece of a piecewise polynomial
-integrand, uniform panels only for oscillation), so every entry is exact (up
-to roundoff) whenever the weights and basis make the integrands piecewise
-polynomial or resolved oscillations.
-The Haar family's G is the exception: its functions are constant on the
-finest dyadic cells, so G and its diagonal come from three moments of
-(phi, psi) per cell, taken on the same rule, with no table of basis values at
-its nodes (`_haar_entries`); Legendre and Fourier contract the tables, and
-order-3 tensors do so in every family.
+plus a spectral integration matrix on each panel).  The tables are streamed:
+the rule is walked in groups of whole panels, each table of a group holds at
+most `_TABLE_VALUES` values, and each running integral carries its prefix
+from group to group, so no table grows with the rule's node count.
+`_TABLE_VALUES` bounds memory only: the running integrals are the whole
+rule's bit for bit, a rule of one group is contracted as one whole table,
+and summing the groups moves entries at roundoff alone.  The rule is worked
+out from the factors alone (one panel per smooth piece of a piecewise
+polynomial integrand, uniform panels only for oscillation), so every entry is
+exact (up to roundoff) whenever the weights and basis make the integrands
+piecewise polynomial or resolved oscillations.
+The Haar family is the exception for k = 1 and 2: its functions are constant
+on the finest dyadic cells, so G and its diagonal come from three moments of
+(phi, psi) per cell, taken on the same rule (`_haar_entries`), and
+(w, q_i) from the integral of w over each cell (`_haar_inner`), with no table
+of basis values at the rule's nodes; Legendre and Fourier stream the tables,
+and order-3 tensors do so in every family.
 A kernel's matrix comes from the same engine: every kind is built from two
 factor weights (a, b), so its matrix is G(a, b), G + G^T, or an outer product
 of two `weight_basis_inner` vectors.  The test suite keeps a two-dimensional
@@ -45,7 +52,7 @@ import numpy as np
 
 from .basis import Interval, OrthonormalBasis, _integer
 from .kernel import Kernel
-from .quadrature import _panel_integral, _running_integral, integrand_rule
+from .quadrature import _panel_integral, _running_integral, _sub_rule, integrand_rule
 from .weights import WeightFunction
 
 __all__ = [
@@ -133,23 +140,63 @@ def _expansion_rule(weights, basis, count):
                           integrals=len(weights) - 1)
 
 
-def _expansion_tables(weights, basis, count):
-    """Tables on `_expansion_rule` whose contraction over nodes gives the
-    coefficients: outer[g, j_k] = w_g w_k(x_g) q_{j_k}(x_g), and the running
-    integral of the inner levels at each node, running[g, m] with
-    m = j_{k-1} count^{k-2} + ... + j_1 (the outermost inner index first)."""
+# values per table of `_expansion_sum`, the largest of them nodes x count^(k-1):
+# sets the panels per group, so it bounds memory and never moves a number
+# beyond the roundoff of summing the groups
+_TABLE_VALUES = 2 ** 16
+
+
+def _expansion_sum(weights, basis, count, contract):
+    """The coefficients of multiplicity k = len(weights) on `_expansion_rule`:
+    the sum, over groups of whole panels, of contract(ow, q, running) with
+    the group's nodes x, ow = w w_k(x), q the basis block at x (`contract`
+    may overwrite it, see `_outer_table`), and running the running integral
+    of the inner levels at x, running[g, m] with
+    m = j_{k-1} count^{k-2} + ... + j_1 (the outermost inner index first;
+    None for k = 1).
+
+    A group holds at most `_TABLE_VALUES` values per table (a panel larger
+    than that is a group of its own), and each inner level carries its prefix
+    from group to group, so its running integral is the whole rule's bit for
+    bit; only the sum over the groups moves, at roundoff.  A rule of one
+    group is contracted as one whole table."""
     rule = _expansion_rule(weights, basis, count)
-    q = basis.evaluate_block(rule.x, count)
-    running = None
-    for w in weights[:-1]:
-        level = w(rule.x)[:, None] * q
-        if running is not None:
-            # this level's integrand: w q_j times the running integral below it
-            level = (level[:, :, None] * running[:, None, :]).reshape(len(rule.x), -1)
-        running = _running_integral(rule, level)
-        del level  # up to nodes x count^(k-1) values: not held while the outer table is built
-    outer = (rule.w * weights[-1](rule.x))[:, None] * q
-    return outer, running
+    # values per panel of the largest table: q for k = 1, running after it
+    per_panel = rule.nodes_per_panel * count ** max(1, len(weights) - 1)
+    panels = max(1, _TABLE_VALUES // per_panel)
+    carries = [None] * (len(weights) - 1)
+    total = None
+    for first in range(0, rule.panels, panels):
+        group = _sub_rule(rule, first, min(first + panels, rule.panels))
+        q = basis.evaluate_block(group.x, count)
+        running = None
+        for m, w in enumerate(weights[:-1]):
+            level = w(group.x)[:, None] * q
+            if running is not None:
+                # this level's integrand: w q_j times the running integral below it
+                level = (level[:, :, None] * running[:, None, :]).reshape(len(group.x), -1)
+            if carries[m] is None:
+                carries[m] = np.zeros(level.shape[1:], dtype=level.dtype)
+            running = _running_integral(group, level, carries[m])
+            del level  # up to nodes x count^(k-1) values: not held while the outer table is built
+        part = contract(group.w * weights[-1](group.x), q, running)
+        # no table outlives its group, so the next group's tables can take
+        # the same memory
+        del q, running
+        if total is None:
+            total = part
+        else:
+            total += part
+    return total
+
+
+def _outer_table(ow, q):
+    """outer[g, j_k] = w_g w_k(x_g) q_{j_k}(x_g), written over the basis block
+    q of a group, which is not needed after it (a table fewer per group),
+    unless a complex weight makes it complex."""
+    if np.iscomplexobj(ow):
+        return ow[:, None] * q
+    return np.multiply(q, ow[:, None], out=q)
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +210,23 @@ def _exclusive_cumsum(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _haar_cells(rule, basis, count):
+    """The finest dyadic cell of the first `count` Haar functions that each
+    panel of `rule` lies in (the cell edges are rule edges), and the first
+    panel of each cell."""
+    iv, cells = basis.interval, len(basis.breakpoints(count)) + 1
+    mid = 0.5 * (rule.edges[:-1] + rule.edges[1:])
+    panel_cell = np.minimum((mid - iv.t0) * (cells / iv.length), cells - 1).astype(np.intp)
+    return panel_cell, np.searchsorted(panel_cell, np.arange(cells))
+
+
 def _haar_cell_moments(phi, psi, basis, count):
     """Three moments of (phi, psi) on each finest dyadic cell c of the first
     `count` Haar functions: A_c = int_c phi, B_c = int_c psi and
     C_c = int_c phi(t) int_{left(c)}^t psi(s) ds dt, on the rule of G,
     with no basis block."""
     rule = _expansion_rule((psi, phi), basis, count)
-    iv, cells = basis.interval, len(basis.breakpoints(count)) + 1
-    # the cell edges are rule edges, so each panel lies in one cell
-    mid = 0.5 * (rule.edges[:-1] + rule.edges[1:])
-    panel_cell = np.minimum((mid - iv.t0) * (cells / iv.length), cells - 1).astype(np.intp)
-    first_panel = np.searchsorted(panel_cell, np.arange(cells))
+    panel_cell, first_panel = _haar_cells(rule, basis, count)
     f, g = phi(rule.x), psi(rule.x)
     # C from running integrals that start in the cell, never at t0, so it
     # keeps its own relative accuracy: the partial panel, then the cell's
@@ -183,6 +236,19 @@ def _haar_cell_moments(phi, psi, basis, count):
     c = c + a * (before - before[first_panel[panel_cell]])
     # reduceat, unlike bincount, takes complex weights
     return tuple(np.add.reduceat(x, first_panel) for x in (a, b, c))
+
+
+def _haar_inner(w, basis, count):
+    """(w, q_i) = amp_i sum_c s_i(c) int_c w in the Haar basis, from the
+    integral of w over each finest cell c on the rule of (w, q_i): with
+    q_i = amp_i s_i(c) on cell c as in `_haar_entries`, and no basis block."""
+    rule = _expansion_rule((w,), basis, count)
+    _, first_panel = _haar_cells(rule, basis, count)
+    a = np.add.reduceat(rule.panel_sums(w(rule.x)), first_panel)
+    u = np.empty(count, dtype=a.dtype)
+    for first, rows, width, amp, sign in _haar_supports(basis, count, len(a)):
+        u[first:first + rows] = amp * (sign * a.reshape(-1, width)[:rows]).sum(axis=1)
+    return u
 
 
 def _haar_supports(basis: OrthonormalBasis, count: int, cells: int):
@@ -260,8 +326,11 @@ def _volterra_entries(phi, psi, basis, count, diagonal: bool) -> np.ndarray:
     in the Haar basis, from the outer rule's tables in the others."""
     if basis.family == "haar":
         return _haar_entries(phi, psi, basis, count, diagonal)
-    outer, running = _expansion_tables((psi, phi), basis, count)
-    return np.einsum("gi,gi->i", outer, running) if diagonal else outer.T @ running
+    if diagonal:
+        return _expansion_sum((psi, phi), basis, count,
+                              lambda ow, q, running: np.einsum("gi,gi->i", _outer_table(ow, q), running))
+    return _expansion_sum((psi, phi), basis, count,
+                          lambda ow, q, running: _outer_table(ow, q).T @ running)
 
 
 def coefficient_matrix(
@@ -301,9 +370,9 @@ def volterra_norm_sq(phi: WeightFunction, psi: WeightFunction) -> float:
 
 def weight_basis_inner(w: WeightFunction, basis: OrthonormalBasis, count: int) -> np.ndarray:
     """Vector of inner products (w, q_i) for i < count."""
-    rule = _expansion_rule((w,), basis, count)
-    q = basis.evaluate_block(rule.x, count)
-    return (rule.w * w(rule.x)) @ q
+    if basis.family == "haar":
+        return _haar_inner(w, basis, count)
+    return _expansion_sum((w,), basis, count, lambda ow, q, running: ow @ q)
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +428,10 @@ def tensor_coefficients(
     R(w1 q) and the mid-level running integral R(w2 q (x) R(w1 q)) are both
     taken at the outer nodes, and the outer rule finishes the job.
     """
-    outer, running = _expansion_tables((w1, w2, w3), basis, count)
     # the outer rule as one matrix product: (outer.T @ running)[i3, i2 * count + i1]
-    entries = (outer.T @ running).reshape((count,) * 3)
+    entries = _expansion_sum((w1, w2, w3), basis, count,
+                             lambda ow, q, running: _outer_table(ow, q).T @ running)
+    entries = entries.reshape((count,) * 3)
     entries = np.ascontiguousarray(entries.transpose(2, 1, 0))
     return _result(CoefficientTensor, entries, basis, (w1.id, w2.id, w3.id))
 
@@ -382,7 +452,7 @@ _MAGIC = b"STRC"
 _VERSION = 1
 # enters every cache key; bump it whenever an engine change may move the
 # numbers, so files written by an older engine are recomputed, not served
-_ENGINE_VERSION = 5
+_ENGINE_VERSION = 6
 
 
 def _digest(parts: dict) -> str:

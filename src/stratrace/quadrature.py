@@ -22,8 +22,12 @@ which every coefficient engine and the reduced tensor limits need, are built
 in one place, `_running_integral`: per-panel prefix sums of the rule plus one
 cached n x n spectral integration matrix applied to each panel's node values.
 That second part alone, the integral from each node's own panel edge, is
-`_panel_integral`.  Both stay private so that their time counts toward the
-engine function that asked for them.
+`_panel_integral`.  A caller that holds no nodes x N table walks the rule in
+groups of whole panels instead: `_sub_rule` cuts a group out of the rule, and
+`_running_integral` carries each integral's prefix from one group into the
+next, bit for bit the prefix sums of the whole rule, which is the one-group
+case of the same code.  All three stay private so that their time counts
+toward the engine function that asked for them.
 """
 
 from __future__ import annotations
@@ -224,7 +228,15 @@ def _integration_matrix(n: int) -> np.ndarray:
     return s
 
 
-def _running_integral(rule: CompositeRule, values: np.ndarray) -> np.ndarray:
+def _sub_rule(rule: CompositeRule, first: int, stop: int) -> CompositeRule:
+    """Panels first, ..., stop - 1 of `rule` as a rule of their own, on views
+    of its nodes and weights."""
+    n = rule.nodes_per_panel
+    return CompositeRule(x=rule.x[first * n:stop * n], w=rule.w[first * n:stop * n],
+                         edges=rule.edges[first:stop + 1], nodes_per_panel=n)
+
+
+def _running_integral(rule: CompositeRule, values: np.ndarray, carry=None) -> np.ndarray:
     """int_{t0}^{x_g} f at every node x_g of `rule`, from f at those nodes.
 
     `values` has the node axis first and any trailing axes; the result has the
@@ -233,13 +245,23 @@ def _running_integral(rule: CompositeRule, values: np.ndarray) -> np.ndarray:
     contraction sum_g w_g h(x_g) (S f)(x_g) is exact whenever the rule is
     exact for h * int f and h or f has degree <= nodes_per_panel - 1, so the
     callers' product demands on `rule` suffice.
+
+    `carry`, when given, is int_{t0}^{e_0} f over the panels of an enclosing
+    rule left of this rule's first edge e_0, shaped like one node's values;
+    it is advanced in place to the integral up to this rule's last edge.  So
+    the `_sub_rule`s of consecutive panel groups, walked left to right with
+    one carry, continue one running integral, and their prefixes are the
+    whole rule's bit for bit (both are one sequential sum).
     """
     per_panel = rule.panel_sums(values)
-    prefix = np.empty_like(per_panel)
-    prefix[0] = 0.0
-    np.cumsum(per_panel[:-1], axis=0, out=prefix[1:])
+    prefix = np.empty((rule.panels + 1,) + per_panel.shape[1:], dtype=per_panel.dtype)
+    prefix[0] = 0.0 if carry is None else carry
+    prefix[1:] = per_panel
+    np.cumsum(prefix, axis=0, out=prefix)
+    if carry is not None:
+        carry[...] = prefix[-1]
     inside = _panel_integral(rule, values)
-    inside += prefix.reshape(rule.panels, 1, -1)
+    inside += prefix[:-1].reshape(rule.panels, 1, -1)
     return inside.reshape(values.shape)
 
 
@@ -249,6 +271,6 @@ def _panel_integral(rule: CompositeRule, values: np.ndarray) -> np.ndarray:
     panel of `_running_integral`, without the whole panels before it."""
     n = rule.nodes_per_panel
     inside = _integration_matrix(n) @ values.reshape(rule.panels, n, -1)
-    # built in place: the tensor's mid level alone holds G * count^2 values
+    # built in place: a tensor's mid level holds nodes * count^2 values
     inside *= 0.5 * np.diff(rule.edges)[:, None, None]
     return inside

@@ -4,6 +4,8 @@ Everything lives on [0, 1] unless a test says otherwise; `make_basis` takes a
 function count (the constructor takes the largest index).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,17 @@ def make_basis(family: str, count: int, interval: Interval = UNIT) -> Orthonorma
 
 def poly(*coeffs, interval: Interval = UNIT) -> PolynomialWeight:
     return PolynomialWeight(tuple(float(c) for c in coeffs), interval)
+
+
+def _traced_peak(call):
+    """Peak bytes traced while `call` runs, after one warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

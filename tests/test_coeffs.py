@@ -42,10 +42,9 @@ from stratrace import (
 from stratrace import cli
 from stratrace import coeffs as coeffs_module
 from stratrace.coeffs import CoefficientTensor, cache_path
-from stratrace.quadrature import integrand_rule, nodes_for, scaled_segments
+from stratrace.quadrature import _running_integral, integrand_rule, nodes_for, scaled_segments
 
-from conftest import UNIT, make_basis, poly
-from test_stochastic import _traced_peak
+from conftest import UNIT, _traced_peak, make_basis, poly
 
 ONE = poly(1.0)
 TEE = poly(0.0, 1.0)
@@ -184,6 +183,104 @@ def test_bessel_bound_and_monotonicity(pc, qc):
     assert partial[-1] <= bound + 1e-10
 
 
+# -- the streamed contraction against the frozen whole tables ---------------------
+
+
+def _oracle_expansion_tables(weights, basis, count):
+    """The tables of the coefficients of multiplicity k = len(weights) on
+    `_expansion_rule`, each built whole over all its nodes, frozen as the
+    engine built them before it contracted them group of panels by group:
+    outer[g, j_k] = w_g w_k(x_g) q_{j_k}(x_g), and the running integral of
+    the inner levels, running[g, m] with m = j_{k-1} count^{k-2} + ... + j_1."""
+    rule = coeffs_module._expansion_rule(weights, basis, count)
+    q = basis.evaluate_block(rule.x, count)
+    running = None
+    for w in weights[:-1]:
+        level = w(rule.x)[:, None] * q
+        if running is not None:
+            level = (level[:, :, None] * running[:, None, :]).reshape(len(rule.x), -1)
+        running = _running_integral(rule, level)
+    outer = (rule.w * weights[-1](rule.x))[:, None] * q
+    return outer, running
+
+
+def _oracle_inner(w, basis, count):
+    """(w, q_i) as one product of the weights with the whole basis block at
+    every node of its rule, frozen."""
+    rule = coeffs_module._expansion_rule((w,), basis, count)
+    return (rule.w * w(rule.x)) @ basis.evaluate_block(rule.x, count)
+
+
+def _relative(got, want):
+    return np.max(np.abs(got - want)) / np.linalg.norm(want)
+
+
+# one-panel groups, the default budget, and the whole rule as one group
+GROUPS = {"panel": 1, "default": coeffs_module._TABLE_VALUES, "whole": 2 ** 62}
+
+
+@pytest.mark.parametrize("groups", sorted(GROUPS))
+@pytest.mark.parametrize("family, count", [("legendre", 24), ("fourier", 25), ("haar", 32)])
+def test_streamed_contraction_matches_the_frozen_whole_tables(monkeypatch, family, count, groups):
+    monkeypatch.setattr(coeffs_module, "_TABLE_VALUES", GROUPS[groups])
+    # Haar G and its diagonal come from cell moments, checked against the
+    # same tables below; its vectors and tensors are checked here
+    basis = make_basis(family, count)
+    for phi, psi in ((TABLE, P3), (TRIG, TABLE), (P3, P2)):
+        if family != "haar":
+            outer, running = _oracle_expansion_tables((psi, phi), basis, count)
+            matrix = outer.T @ running
+            assert _relative(coefficient_matrix(phi, psi, basis, count).entries, matrix) <= 1e-15
+            diag = volterra_diagonal(phi, psi, basis, count)
+            assert _relative(diag, np.einsum("gi,gi->i", outer, running)) <= 1e-15
+        assert _relative(weight_basis_inner(phi, basis, count), _oracle_inner(phi, basis, count)) <= 1e-15
+    for weights in ((TEE, TABLE, TRIG), (TRIG, P3, TABLE)):
+        tensor = tensor_coefficients(*weights, basis, 12).entries
+        assert _relative(tensor, _oracle_einsum_tensor(*weights, basis, 12)) <= 1e-15
+
+
+@pytest.mark.parametrize("family, count", [("legendre", 40), ("fourier", 41)])
+def test_one_group_rules_are_contracted_as_whole_tables(family, count):
+    # one Legendre panel of 43 nodes, 16 Fourier panels of 29: whole tables
+    # of 1720 and 19 024 values, one group each
+    basis = make_basis(family, count)
+    outer, running = _oracle_expansion_tables((P2, P3), basis, count)
+    assert outer.size <= coeffs_module._TABLE_VALUES
+    assert np.array_equal(coefficient_matrix(P3, P2, basis, count).entries, outer.T @ running)
+    assert np.array_equal(volterra_diagonal(P3, P2, basis, count),
+                          np.einsum("gi,gi->i", outer, running))
+    assert np.array_equal(weight_basis_inner(P3, basis, count), _oracle_inner(P3, basis, count))
+    outer, running = _oracle_expansion_tables((P2, TEE, P3), basis, 8)
+    assert running.size <= coeffs_module._TABLE_VALUES
+    assert np.array_equal(tensor_coefficients(P2, TEE, P3, basis, 8).entries,
+                          (outer.T @ running).reshape(8, 8, 8).transpose(2, 1, 0))
+
+
+def test_legendre_diagonal_allocation_budget():
+    # a 33-point table makes 32 panels of 129 nodes; the whole 4128 x 128
+    # tables held about 12.3 MiB at once
+    grid = np.linspace(0.0, 1.0, 33)
+    phi = TabulatedWeight(grid, np.cos(5.0 * grid), UNIT)
+    psi = TabulatedWeight(grid, np.sin(2.0 * grid) - grid, UNIT)
+    leg = make_basis("legendre", 128)
+    assert _traced_peak(lambda: volterra_diagonal(phi, psi, leg, 128)) < 4 * 2 ** 20
+
+
+def test_fourier_matrix_allocation_budget():
+    # the whole tables of 16 panels of 287 nodes held about 108 MiB at once,
+    # 13.5 times the matrix
+    n = 1024
+    fourier = make_basis("fourier", n)
+    assert _traced_peak(lambda: coefficient_matrix(P3, TEE, fourier, n)) < 5 * n * n * 8
+
+
+def test_fourier_tensor_allocation_budget():
+    # the whole mid-level tables, nodes x 32^2 values each, held about
+    # 8.6 MiB at once
+    fourier = make_basis("fourier", 32)
+    assert _traced_peak(lambda: tensor_coefficients(TEE, P3, TSQ, fourier, 32)) < 3 * 2 ** 20
+
+
 # -- Haar coefficients from cell moments ------------------------------------------
 
 # a table whose breaks at 0.3 and 0.55 are no dyadic cell edges
@@ -192,9 +289,10 @@ HAAR_PAIRS = {"poly": (P3, TSQ), "trig": (TRIG, TAB), "table": (TAB, TRIG), "gri
 
 
 def _generic_tables(phi, psi, basis, count):
-    """G and its diagonal contracted from the outer rule's tables, as the
-    Legendre and Fourier families still get them."""
-    outer, running = coeffs_module._expansion_tables((psi, phi), basis, count)
+    """G and its diagonal contracted from the frozen whole tables of the
+    basis block at every node of the rule of G, which the Haar cell moments
+    never build."""
+    outer, running = _oracle_expansion_tables((psi, phi), basis, count)
     return outer.T @ running, np.einsum("gi,gi->i", outer, running)
 
 
@@ -262,6 +360,26 @@ def test_haar_matrix_is_the_outer_product_where_supports_are_apart(count):
                 assert matrix[i, j] == 0.0
                 left += 1
     assert right == left > count
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 8, 100, 512])
+@pytest.mark.parametrize("w", [P3, TRIG, TAB, TABLE], ids=["poly", "trig", "tab", "grid"])
+def test_haar_inner_products_from_cell_integrals(w, count):
+    # the whole-block product of the frozen oracle, each column summed
+    # exactly: its BLAS sum is itself off by 3.9e-16 in u_0 of P3 at count
+    # 512, where the cell integrals are off by 2.8e-17
+    haar = make_basis("haar", 512)
+    rule = coeffs_module._expansion_rule((w,), haar, count)
+    block = (rule.w * w(rule.x))[:, None] * haar.evaluate_block(rule.x, count)
+    want = np.array([math.fsum(column) for column in block.T])
+    assert np.max(np.abs(weight_basis_inner(w, haar, count) - want)) <= 1e-15 * np.linalg.norm(want)
+
+
+def test_haar_inner_products_allocation_budget():
+    # the whole Haar block at the rule's 8192 nodes held about 257 MiB at once
+    n = 4096
+    haar = make_basis("haar", n)
+    assert _traced_peak(lambda: weight_basis_inner(P3, haar, n)) < 4 * 2 ** 20
 
 
 def test_haar_matrix_reach_at_n_2048():
@@ -568,7 +686,7 @@ def test_low_truncations_of_a_high_degree_weight_against_the_algebra_oracles(d, 
 def _oracle_einsum_tensor(w1, w2, w3, basis, count):
     """The tensor with the outer rule applied by one three-operand einsum,
     frozen: the reference the matrix-product contraction must match."""
-    outer, running = coeffs_module._expansion_tables((w1, w2, w3), basis, count)
+    outer, running = _oracle_expansion_tables((w1, w2, w3), basis, count)
     return np.einsum("go,gjk->kjo", outer, running.reshape(-1, count, count))
 
 

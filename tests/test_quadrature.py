@@ -13,6 +13,7 @@ from stratrace.quadrature import (
     integrand_rule,
     _integration_matrix,
     _running_integral,
+    _sub_rule,
     nodes_for,
     scaled_segments,
 )
@@ -102,6 +103,28 @@ def test_running_integral_with_trailing_axes_across_a_breakpoint():
     # nodes on both sides of the 0.3 edge, which the rule keeps as a panel edge
     assert np.isclose(rule.edges, 0.3).any() and x.min() < 0.3 < x.max()
     assert np.max(np.abs(running - exact)) < 1e-15
+
+
+@pytest.mark.parametrize("group", [1, 3, 7, 32])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_carried_prefix_continues_the_running_integral_bit_for_bit(group, dtype):
+    # 32 panels of 9 nodes walked in groups of `group` panels (the last one
+    # short for 3 and 7); 32 is the whole rule as one group
+    rng = np.random.default_rng(11)
+    rule = composite_rule(0.0, 1.0, breakpoints=np.sort(rng.random(31)), degree=16)
+    assert (rule.panels, rule.nodes_per_panel) == (32, 9)
+    values = rng.standard_normal((len(rule.x), 2, 3)).astype(dtype)
+    if dtype is complex:
+        values += 1j * rng.standard_normal(values.shape)
+    whole = _running_integral(rule, values)
+    carry = np.zeros((2, 3), dtype=dtype)
+    parts = []
+    for first in range(0, rule.panels, group):
+        sub = _sub_rule(rule, first, min(first + group, rule.panels))
+        parts.append(_running_integral(sub, values[first * 9:(first + group) * 9], carry))
+    assert np.array_equal(np.concatenate(parts), whole)
+    # and the carry ends as the whole rule's integral, summed panel by panel
+    assert np.array_equal(carry, np.cumsum(rule.panel_sums(values), axis=0)[-1])
 
 
 def test_scaled_segments_variable_upper_bounds():

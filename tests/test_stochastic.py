@@ -6,7 +6,6 @@ stream, so failures are reproducible rather than flaky.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from stratrace import (
 from stratrace.reports import jsonable
 from stratrace.stochastic import _ETA, _ETA_ROWS, _ZETA, BLOCK_PATHS, _block_normals, _simulate_block
 
-from conftest import UNIT, make_basis, poly
+from conftest import UNIT, _traced_peak, make_basis, poly
 
 ONE = poly(1.0)
 TEE = poly(0.0, 1.0)
@@ -286,17 +285,6 @@ def test_smooth_path_oracle_identical_across_chunk_sizes(monkeypatch, panels):
     assert report == default
     assert jsonable(report) == jsonable(default)
     assert np.array_equal(chunked, values)
-
-
-def _traced_peak(call):
-    """Peak bytes traced while `call` runs, after one warm-up call."""
-    call()
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def _oracle_whole_block_samples(G, zeta, inner):
