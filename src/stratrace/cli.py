@@ -7,8 +7,20 @@ from the payload alone.  The JSON file is `json.dumps(indent=2)` text, but the
 rows of a coeffs matrix are streamed into it one at a time: each entry's repr
 is made once and written to both files, so no document-sized string is held.
 A row's CSV lines are one join over its cells and cached `,j,` labels, so
-beyond the reprs a row costs no Python work per entry.  The argument parser
-is built once per process and reused by every `main` call.
+beyond the reprs a row costs no Python work per entry.
+
+With a cache directory in effect, `coeffs` keeps the reprs too: the cells
+file `<key>.cells` beside the cached `<key>.strc` holds a header line (tag
+and version, the shape, the crc32 of the entries' little-endian bytes and
+the crc32 of the body) and then one line per row, its cells joined by `,`;
+it is about 1.7 times the size of the binary.  A run that renders the reprs
+tees them into a temp file and publishes it whole with `os.replace`; a run
+whose cells file matches the entries it actually holds (header, body
+checksum, line and comma counts, all checked before the first byte of
+output) reads its rows instead of calling `float.__repr__`, one line at a
+time.  A file that fails any check is ignored and rewritten, and one that
+cannot be written is done without.  The argument parser is built once per
+process and reused by every `main` call.
 Scientific payloads are deterministic for a fixed config and seed; the wall
 time of the experiment, the time spent writing its files and host details are
 quarantined in the env block.
@@ -25,6 +37,8 @@ import math
 import platform
 import sys
 import time
+import zlib
+from contextlib import closing
 from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from functools import lru_cache
@@ -37,7 +51,11 @@ from . import __version__
 from .basis import FAMILIES, Interval, OrthonormalBasis
 from .coeffs import (
     CacheCorruptError,
+    _cache_directory,
+    _publish,
+    cache_path,
     cached_coefficient_matrix,
+    matrix_key,
     tensor_coefficients,
 )
 from .kernel import (
@@ -359,30 +377,106 @@ def _streamable(matrix) -> bool:
             and bool(np.isfinite(matrix).all()))
 
 
-def _write_matrix(doc, table, matrix: np.ndarray) -> None:
-    """Stream a matrix row by row into the JSON document, laid out as
-    json.dumps(indent=2) lays out the value of a payload key, and into the CSV
-    table as `i,j,entry` lines."""
+def _write_matrix(doc, table, rows) -> None:
+    """Stream a matrix, given as the cells of each row, into the JSON
+    document, laid out as json.dumps(indent=2) lays out the value of a payload
+    key, and into the CSV table as `i,j,entry` lines."""
     table.write("i,j,entry\n")
-    if len(matrix) == 0:
-        doc.write("[]")
-        return
     row_start, entry_sep = "\n      ", ",\n        "  # rows 6 deep, entries 8
-    for i, row in enumerate(matrix):
-        cells = _row_cells(row)
+    i = -1
+    for i, cells in enumerate(rows):
         doc.write(("[" if i == 0 else ",") + row_start)
         doc.write(("[" + entry_sep[1:] + entry_sep.join(cells) + row_start + "]") if cells
                   else "[]")
         table.write(_csv_lines(i, cells))
-    doc.write("\n    ]")
+    doc.write("[]" if i < 0 else "\n    ]")
 
 
-def _write_outputs(out_prefix: str, payload: dict, wall_ms: float) -> None:
+# the first field of a cells file's header: its tag and format version
+_CELLS_TAG = b"STRC-CELLS 1"
+# bytes per read of the checking pass over a cells file's body
+_CELLS_CHUNK = 2 ** 16
+
+
+def _cells_header(shape: tuple, entries_crc: int, body_crc: int) -> bytes:
+    """The header line of a cells file; its length depends on the shape alone."""
+    return b"%s %d %d %08x %08x\n" % (_CELLS_TAG, *shape, entries_crc, body_crc)
+
+
+def _cells_match(fh, shape: tuple, entries_crc: int) -> bool:
+    """Whether the cells file open in `fh` holds the rows of these entries,
+    of this shape; if so, `fh` is left at its first row.
+
+    The header must be the one written for this shape, these entries and
+    this body, and the body must hold, in all, one line and one comma fewer
+    than cells per row.  The body is read in chunks, never whole."""
+    header = fh.readline(len(_cells_header(shape, 0, 0)))
+    body = lines = commas = 0
+    last = b"\n"
+    while chunk := fh.read(_CELLS_CHUNK):
+        body = zlib.crc32(chunk, body)
+        lines += chunk.count(b"\n")
+        commas += chunk.count(b",")
+        last = chunk[-1:]
+    rows, width = shape
+    if (header != _cells_header(shape, entries_crc, body) or last != b"\n"
+            or lines != rows or commas != rows * (width - 1)):
+        return False
+    fh.seek(len(header))
+    return True
+
+
+def _teed_rows(matrix: np.ndarray, path, entries_crc: int):
+    """The cells of each row of `matrix`, also written to a cells file that
+    replaces `path` whole once the last row is out.  The cells file only
+    spares later runs the reprs, so when it cannot be written the rows go on
+    without it."""
+    rows = map(_row_cells, matrix)
+    try:
+        with _publish(path) as fh:
+            fh.write(_cells_header(matrix.shape, entries_crc, 0))
+            body = 0
+            for cells in rows:
+                yield cells  # first, so that a failed write below loses no row
+                line = (",".join(cells) + "\n").encode()
+                body = zlib.crc32(line, body)
+                fh.write(line)
+            fh.seek(0)
+            fh.write(_cells_header(matrix.shape, entries_crc, body))
+    except OSError:
+        yield from rows
+
+
+def _matrix_rows(matrix: np.ndarray, cells=None):
+    """The cells of each row of a streamed matrix: read from the cells file
+    at `cells` when it matches the matrix (checked whole before the first
+    row is given), else rendered, and teed into a new cells file when
+    `cells` is given.  The file is read twice, once for the checks and once
+    row by row, through one open handle."""
+    if cells is None:
+        yield from map(_row_cells, matrix)
+        return
+    entries_crc = zlib.crc32(np.ascontiguousarray(matrix, dtype="<f8"))
+    try:
+        fh = open(cells, "rb")
+    except OSError:  # not written yet, or not ours to read
+        fh = None
+    if fh is not None:
+        with fh:
+            if _cells_match(fh, matrix.shape, entries_crc):
+                for line in fh:
+                    yield line[:-1].decode().split(",")
+                return
+    yield from _teed_rows(matrix, cells, entries_crc)
+
+
+def _write_outputs(out_prefix: str, payload: dict, wall_ms: float, cells=None) -> None:
     """Write `<out>.json` and `<out>.csv`.
 
     The document is json.dumps(indent=2) text.  A coeffs matrix is streamed
-    into a gap left in it, one repr per entry shared with the CSV, and the env
-    block goes last, so that it can time the writing of everything else.
+    into a gap left in it, one repr per entry shared with the CSV, taken from
+    or kept in the cells file `cells` when one is given, and the env block
+    goes last, so that it can time the writing of everything else.
     """
     started = time.perf_counter()
     matrix = payload.get("entries") if payload.get("experiment") == "coeffs" else None
@@ -398,7 +492,8 @@ def _write_outputs(out_prefix: str, payload: dict, wall_ms: float) -> None:
             key = '\n    "entries": '  # the payload's own key; nested keys sit deeper
             head, _, text = text.partition(key + gap)
             doc.write(head + key)
-            _write_matrix(doc, table, matrix)
+            with closing(_matrix_rows(matrix, cells)) as rows:
+                _write_matrix(doc, table, rows)
         else:
             table.write(csv_from_payload(body))
         doc.write(text)
@@ -421,9 +516,15 @@ def _write_outputs(out_prefix: str, payload: dict, wall_ms: float) -> None:
 
 
 def _coeffs(c: ExperimentConfig):
-    matrix = cached_coefficient_matrix(
-        c.weight("phi"), c.weight("psi"), c.make_basis(), c.nmax, directory=c.cache_dir,
-    )
+    try:
+        directory = _cache_directory(c.cache_dir)
+    except ValueError as exc:
+        raise ConfigError("cache_dir", str(exc)) from None
+    phi, psi, basis = c.weight("phi"), c.weight("psi"), c.make_basis()
+    matrix = cached_coefficient_matrix(phi, psi, basis, c.nmax, directory=directory)
+    cells = None
+    if directory is not None:
+        cells = cache_path(directory, matrix_key(phi, psi, basis, c.nmax)).with_suffix(".cells")
     return {
         "experiment": "coeffs",
         "basis": matrix.basis_id,
@@ -431,7 +532,7 @@ def _coeffs(c: ExperimentConfig):
         "N": matrix.count,
         "trace": matrix.trace,
         "entries": matrix.entries,
-    }, True
+    }, True, cells
 
 
 def _theorem2(c: ExperimentConfig):
@@ -488,7 +589,8 @@ def _simulate(c: ExperimentConfig):
 
 
 # subcommand -> (help line, its own flags, runner); every subcommand also takes
-# _COMMON_FLAGS.  A runner returns a TraceReport or a (payload, converged) pair.
+# _COMMON_FLAGS.  A runner returns a TraceReport or a (payload, converged) pair;
+# coeffs adds the path of its cells file (None without a cache directory).
 EXPERIMENTS = {
     "coeffs": ("compute (and cache) a coefficient matrix",
                ("phi", "psi", "basis", "nmax", "cache_dir"), _coeffs),
@@ -517,11 +619,11 @@ def _run(config: ExperimentConfig) -> int:
     outcome = EXPERIMENTS[config.experiment][2](config)
     if isinstance(outcome, TraceReport):
         outcome = outcome.payload(), outcome.converged
-    payload, converged = outcome
+    payload, converged, *cells = outcome
 
     wall_ms = (time.perf_counter() - started) * 1000.0
     out_prefix = config.out if config.out is not None else config.experiment
-    _write_outputs(out_prefix, payload, wall_ms)
+    _write_outputs(out_prefix, payload, wall_ms, *cells)
     print(f"{config.experiment}: wrote {out_prefix}.json and {out_prefix}.csv "
           f"({'converged' if converged else 'NOT converged'})")
     return 0 if converged else 2

@@ -37,7 +37,14 @@ kernel quadrature as the independent check on that route.
 
 Matrices can be cached on disk in a small binary format keyed by a content
 hash of the engine version, the weights, the basis and the count; see
-`matrix_key`, `cache_store`, `cache_load`.
+`matrix_key`, `cache_store`, `cache_load`.  The directory is the one given,
+else STRC_CACHE_DIR (empty means unset); an empty directory argument is an
+error, never the working directory.  Beside each `<key>.strc` the `coeffs`
+subcommand keeps `<key>.cells`, the text of the entries as its report files
+write them (about 1.7 times the binary's size), which it serves only while
+its header matches the matrix's shape and the checksum of the entries it
+loaded and its body matches its own checksum; see `stratrace.cli`.  Both
+files are published whole, from a temp file of the writer's own.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -477,6 +485,19 @@ def matrix_key(
     })
 
 
+def _cache_directory(directory=None):
+    """The cache directory in effect: `directory` when given, else the
+    STRC_CACHE_DIR environment variable, where an empty value means unset;
+    None when neither is set.  An empty `directory` raises ValueError rather
+    than name the working directory."""
+    if directory is None:
+        return os.environ.get("STRC_CACHE_DIR") or None
+    if directory == "":
+        raise ValueError("the cache directory must not be empty; "
+                         "leave it out to use STRC_CACHE_DIR")
+    return directory
+
+
 def cache_path(directory, key: str) -> Path:
     return Path(directory) / f"{key}.strc"
 
@@ -490,15 +511,24 @@ def cache_store(entries: np.ndarray, path, key: str) -> None:
         + bytes.fromhex(key)
         + np.uint32(arr.shape[0]).astype("<u4").tobytes()
     )
+    with _publish(path) as fh:
+        fh.write(header + arr.tobytes())
+
+
+@contextmanager
+def _publish(path):
+    """A binary file open for writing that replaces `path` whole when the
+    block ends without error, and is removed when it raises.
+
+    It is a temp file of our own (random name, exclusive create) in the
+    target directory, so concurrent writers of one key never publish each
+    other's partial bytes."""
     path = Path(path)
-    # a temp file of our own (random name, exclusive create) in the target
-    # directory, so concurrent writers of one key never publish each other's
-    # partial bytes
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(header + arr.tobytes())
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -537,13 +567,12 @@ def cached_coefficient_matrix(
 ) -> CoefficientMatrix:
     """`coefficient_matrix` with a disk cache.
 
-    The directory comes from the argument or the STRC_CACHE_DIR environment
-    variable; with neither set this computes directly.  A corrupt or
-    mismatched file is recomputed and overwritten.
+    The directory comes from `_cache_directory`; with none in effect this
+    computes directly.  A corrupt or mismatched file is recomputed and
+    overwritten.
     """
     _check_inputs(basis, count, phi, psi)
-    if directory is None:
-        directory = os.environ.get("STRC_CACHE_DIR") or None
+    directory = _cache_directory(directory)
     if directory is None:
         return coefficient_matrix(phi, psi, basis, count)
 

@@ -7,6 +7,8 @@ tmp_path because reports land in the working directory by default.
 import json
 import math
 import tempfile
+import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,8 @@ from stratrace import (
     SeparableRankOne,
     SymmetrizedVolterra,
     VolterraProduct,
+    cache_load,
+    cache_store,
     inner_product,
     weight_basis_inner,
 )
@@ -422,8 +426,30 @@ def test_coefficient_run_writes_matrix_table_and_cache(tmp_path, monkeypatch):
     cached = list(cache.rglob("*.strc"))
     assert len(cached) == 1
     before = cached[0].read_bytes()
-    assert main(argv) == 0  # second run is served from the cache
+    assert main(argv[:-1] + ["again"]) == 0  # second run is served from the cache
     assert cached[0].read_bytes() == before
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "mat.csv").read_bytes()
+    assert _payload_text(tmp_path / "again.json") == _payload_text(tmp_path / "mat.json")
+    assert sorted(p.name for p in cache.rglob("*")) == sorted(
+        [cached[0].name, cached[0].with_suffix(".cells").name])
+
+
+def test_an_empty_cache_dir_is_an_error_and_an_empty_variable_turns_the_cache_off(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("STRC_CACHE_DIR", raising=False)
+    argv = ["coeffs", "--phi", "poly:1", "--psi", "poly:0,1", "--basis", "haar", "--nmax", "8",
+            "--out", "mat"]
+    assert main(argv + ["--cache-dir", ""]) == 1
+    assert "error: cache_dir: " in capsys.readouterr().err
+    (tmp_path / "conf.json").write_text(json.dumps({"cache_dir": ""}))
+    assert main(argv + ["--config", "conf.json"]) == 1
+    assert "error: cache_dir: " in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["conf.json"]  # no cache file, no report
+
+    monkeypatch.setenv("STRC_CACHE_DIR", "")
+    assert main(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conf.json", "mat.csv", "mat.json"]
 
 
 def test_simulation_reuses_the_matrix_that_coeffs_cached(tmp_path, monkeypatch):
@@ -592,17 +618,20 @@ _simulate_payloads = st.fixed_dictionaries({
     "metadata": st.dictionaries(st.text(max_size=4), _json, max_size=2)})
 
 
-def _assert_written_as_before(payload: dict) -> None:
+def _assert_written_as_before(payload: dict, cells: bool = False) -> None:
+    """The files of one write, or with `cells` of three: without a cells
+    file, then rendered and teed into one, then read from it."""
+    plain = {**payload, "entries": _plain(payload["entries"])} if "entries" in payload else payload
     with tempfile.TemporaryDirectory() as directory:
         prefix = str(Path(directory) / "report")
-        cli._write_outputs(prefix, payload, 1.5)
-        text = Path(prefix + ".json").read_text(encoding="utf-8")
-        table = Path(prefix + ".csv").read_bytes().decode("utf-8")
-    env = json.loads(text)["env"]
-    assert env["wall_time_ms"] == 1.5 and env["write_time_ms"] >= 0.0
-    plain = {**payload, "entries": _plain(payload["entries"])} if "entries" in payload else payload
-    assert (text, table) == _frozen_files(plain, env)
-    assert csv_from_payload(json.loads(text)["payload"]) == table
+        for path in (None, Path(directory) / "m.cells", Path(directory) / "m.cells")[:1 + 2 * cells]:
+            cli._write_outputs(prefix, payload, 1.5, path)
+            text = Path(prefix + ".json").read_text(encoding="utf-8")
+            table = Path(prefix + ".csv").read_bytes().decode("utf-8")
+            env = json.loads(text)["env"]
+            assert env["wall_time_ms"] == 1.5 and env["write_time_ms"] >= 0.0
+            assert (text, table) == _frozen_files(plain, env)
+            assert csv_from_payload(json.loads(text)["payload"]) == table
 
 
 @settings(max_examples=300, deadline=None)
@@ -611,7 +640,7 @@ def _assert_written_as_before(payload: dict) -> None:
                   "trace": 0.5, "entries": np.full((1, 1), 0.5),
                   "metadata": {"entries": cli._GAP}})  # strings equal to the writer's gap
 def test_coeffs_report_files_are_byte_identical_to_the_previous_writer(payload):
-    _assert_written_as_before(payload)
+    _assert_written_as_before(payload, cells=True)
 
 
 @settings(max_examples=150, deadline=None)
@@ -692,3 +721,191 @@ def test_main_reuses_one_parser_and_leaks_no_flag_between_calls(tmp_path, monkey
     assert _report(tmp_path, "mat") == _report(tmp_path, "mat-fresh")
     # --distinct took effect in its own call and in no later one
     assert _report(tmp_path, "distinct")[0] != _report(tmp_path, "same")[0]
+
+
+# -- the cells file beside a cached matrix -----------------------------------------
+
+
+def _payload_text(path) -> str:
+    """A report's JSON text before its env block, which differs run to run."""
+    text = Path(path).read_text(encoding="utf-8")
+    return text[:text.rindex('\n  "env": ')]
+
+
+def _frozen_cells(entries: np.ndarray) -> bytes:
+    """The cells file of a matrix, written out here without the writer."""
+    body = "".join(",".join(map(repr, row)) + "\n" for row in entries.tolist()).encode()
+    return b"STRC-CELLS 1 %d %d %08x %08x\n" % (
+        *entries.shape, zlib.crc32(entries.astype("<f8").tobytes()), zlib.crc32(body)) + body
+
+
+def _count_row_cells(monkeypatch) -> list:
+    """One item per `_row_cells` call from now on."""
+    calls, render = [], cli._row_cells
+    monkeypatch.setattr(cli, "_row_cells", lambda row: calls.append(1) or render(row))
+    return calls
+
+
+def _cached(cache: Path) -> tuple:
+    """The one `.strc` file of a cache directory and the matrix it holds."""
+    (strc,) = cache.glob("*.strc")
+    n = int(round(math.sqrt((strc.stat().st_size - 44) / 8)))
+    return strc, cache_load(strc, strc.stem, (n, n))
+
+
+@pytest.mark.parametrize("family", ["legendre", "fourier", "haar"])
+def test_warm_runs_read_the_cells_that_the_cold_run_rendered(tmp_path, monkeypatch, family):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("STRC_CACHE_DIR", raising=False)
+    argv = ["coeffs", "--phi", "poly:1,-2,3", "--psi", "trig:1,1,0.5", "--basis", family,
+            "--nmax", "32"]
+    calls = _count_row_cells(monkeypatch)
+    assert main(argv + ["--out", "plain"]) == 0
+    assert len(calls) == 32
+    assert not list(tmp_path.rglob("*.cells"))
+    calls.clear()
+    assert main(argv + ["--cache-dir", "cache", "--out", "cold"]) == 0
+    assert len(calls) == 32  # once per row, shared by both files and the cells file
+    calls.clear()
+    assert main(argv + ["--cache-dir", "cache", "--out", "warm"]) == 0
+    assert calls == []
+    for out in ("cold", "warm"):
+        assert (tmp_path / f"{out}.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        assert _payload_text(tmp_path / f"{out}.json") == _payload_text(tmp_path / "plain.json")
+    strc, entries = _cached(tmp_path / "cache")
+    assert strc.with_suffix(".cells").read_bytes() == _frozen_cells(entries)
+
+
+def _truncate(cells: Path, strc: Path) -> None:
+    cells.write_bytes(cells.read_bytes()[:-7])
+
+
+def _change_a_digit(cells: Path, strc: Path) -> None:
+    raw = bytearray(cells.read_bytes())
+    at = len(raw) - 2  # the last digit of the last row
+    raw[at] = ord("1") if raw[at] == ord("2") else ord("2")
+    cells.write_bytes(bytes(raw))
+
+
+def _header_for_another_shape(cells: Path, strc: Path) -> None:
+    # one row fewer, with checksums that hold for the rows that remain
+    header, body = cells.read_bytes().split(b"\n", 1)
+    body = body[:body.rindex(b"\n", 0, -1) + 1]
+    tag, version, rows, width, entries_crc, _ = header.split(b" ")
+    cells.write_bytes(b" ".join([tag, version, b"%d" % (int(rows) - 1), width, entries_crc,
+                                 b"%08x" % zlib.crc32(body)]) + b"\n" + body)
+
+
+def _other_entries_under_the_key(cells: Path, strc: Path) -> None:
+    _, entries = _cached(strc.parent)
+    cache_store(entries[::-1] * 0.5, strc, strc.stem)
+
+
+def _stray_temp_file(cells: Path, strc: Path) -> None:
+    # a writer that died before publishing: its partial temp file, no cells file
+    cells.with_name(cells.name + ".0123456789abcdef.tmp").write_bytes(cells.read_bytes()[:100])
+    cells.unlink()
+
+
+@pytest.mark.parametrize("damage", [_truncate, _change_a_digit, _header_for_another_shape,
+                                    _other_entries_under_the_key, _stray_temp_file])
+def test_a_cells_file_that_fails_a_check_gives_no_byte_and_is_rewritten(
+        tmp_path, monkeypatch, damage):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("STRC_CACHE_DIR", raising=False)
+    argv = ["coeffs", "--phi", "poly:1,-2,3", "--psi", "poly:0.5,1", "--basis", "haar",
+            "--nmax", "16", "--cache-dir", "cache"]
+    assert main(argv + ["--out", "cold"]) == 0
+    strc = next((tmp_path / "cache").glob("*.strc"))
+    cells = strc.with_suffix(".cells")
+    damage(cells, strc)
+    with monkeypatch.context() as patch:  # a fresh render of the entries the cache holds
+        patch.setattr(cli, "_matrix_rows",
+                      lambda matrix, cells=None: (cli._row_cells(row) for row in matrix))
+        assert main(argv + ["--out", "fresh"]) == 0
+    calls = _count_row_cells(monkeypatch)
+    assert main(argv + ["--out", "served"]) == 0
+    assert len(calls) == 16
+    assert (tmp_path / "served.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    assert _payload_text(tmp_path / "served.json") == _payload_text(tmp_path / "fresh.json")
+    assert cells.read_bytes() == _frozen_cells(_cached(tmp_path / "cache")[1])
+    calls.clear()
+    assert main(argv + ["--out", "again"]) == 0  # the rewritten file serves the next run
+    assert calls == []
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+def test_the_cells_file_keeps_signed_zeros_and_exponent_reprs(tmp_path, monkeypatch):
+    entries = np.array([[-0.0, 1e-05, 1e16], [2.5e-310, -1e300, 0.1], [1.0, -3.0, 1.5e-07]])
+    payload = {"experiment": "coeffs", "basis": "b", "weights": ["w"], "N": 3, "trace": -2.0,
+               "entries": entries}
+    cells = tmp_path / "m.cells"
+    calls = _count_row_cells(monkeypatch)
+    for out, rendered in (("cold", 3), ("warm", 0)):
+        calls.clear()
+        cli._write_outputs(str(tmp_path / out), payload, 1.5, cells)
+        assert len(calls) == rendered
+        text = (tmp_path / f"{out}.json").read_text(encoding="utf-8")
+        table = (tmp_path / f"{out}.csv").read_text(encoding="utf-8")
+        assert (text, table) == _frozen_files({**payload, "entries": entries.tolist()},
+                                              json.loads(text)["env"])
+    assert cells.read_bytes() == _frozen_cells(entries)
+    assert b"\n-0.0,1e-05,1e+16\n" in cells.read_bytes()
+
+
+def test_interleaved_writers_of_one_cells_file_publish_only_whole_files(tmp_path):
+    a = np.arange(12.0).reshape(3, 4) / 7.0
+    b = -a[::-1]
+    path = tmp_path / "k.cells"
+    crc = lambda m: zlib.crc32(m.astype("<f8").tobytes())  # noqa: E731
+    first, second = cli._teed_rows(a, path, crc(a)), cli._teed_rows(b, path, crc(b))
+    next(first), next(second), next(first)
+    assert not path.exists()  # nothing is published before its last row
+    assert list(first) == [cli._row_cells(a[2])]
+    assert path.read_bytes() == _frozen_cells(a)
+    aborted = cli._teed_rows(b, path, crc(b))
+    next(aborted)
+    aborted.close()
+    assert path.read_bytes() == _frozen_cells(a)
+    assert [cells for cells in second] == [cli._row_cells(row) for row in b[1:]]
+    assert path.read_bytes() == _frozen_cells(b)
+    assert [p.name for p in tmp_path.iterdir()] == ["k.cells"]  # no temp file is left
+
+
+def test_a_cells_file_that_cannot_be_written_is_done_without(tmp_path):
+    a = np.arange(6.0).reshape(2, 3) / 3.0
+    path = tmp_path / "missing" / "k.cells"
+    rows = cli._teed_rows(a, path, zlib.crc32(a.astype("<f8").tobytes()))
+    assert list(rows) == [cli._row_cells(row) for row in a]
+    assert not (tmp_path / "missing").exists()
+
+
+def test_the_warm_writer_never_holds_the_cells_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("STRC_CACHE_DIR", raising=False)
+    argv = ["coeffs", "--phi", "poly:0.3,-0.2,0.5,0.1", "--psi", "poly:1,0.4,-0.7",
+            "--basis", "haar", "--nmax", "512"]
+    assert main(argv + ["--out", "warm-up"]) == 0
+    peaks = []
+    for out in ("cold", "warm"):
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--cache-dir", "cache", "--out", out]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
+
+    # the writer alone, beside the matrix it is given
+    strc, entries = _cached(tmp_path / "cache")
+    cells = strc.with_suffix(".cells")
+    payload = json.loads((tmp_path / "warm.json").read_text())["payload"]
+    payload["entries"] = entries
+    tracemalloc.start()
+    try:
+        cli._write_outputs("again", payload, 0.0, cells)
+        held = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held < cells.stat().st_size / 8
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()

@@ -813,6 +813,18 @@ def test_cache_dir_environment_variable(tmp_path, monkeypatch):
     assert cache_path(tmp_path, key).exists()
 
 
+def test_an_empty_cache_directory_is_an_error_and_an_empty_variable_is_unset(
+        tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    leg = make_basis("legendre", 4)
+    with pytest.raises(ValueError, match="cache directory must not be empty"):
+        cached_coefficient_matrix(ONE, TEE, leg, 4, directory="")
+    monkeypatch.setenv("STRC_CACHE_DIR", "")
+    served = cached_coefficient_matrix(ONE, TEE, leg, 4)
+    assert served.entries.tobytes() == coefficient_matrix(ONE, TEE, leg, 4).entries.tobytes()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_store_leaves_a_foreign_temp_file_alone(tmp_path):
     leg = make_basis("legendre", 4)
     matrix = coefficient_matrix(ONE, TEE, leg, 4)
