@@ -13,14 +13,15 @@ With a cache directory in effect, `coeffs` keeps the reprs too: the cells
 file `<key>.cells` beside the cached `<key>.strc` holds a header line (tag
 and version, the shape, the crc32 of the entries' little-endian bytes and
 the crc32 of the body) and then one line per row, its cells joined by `,`;
-it is about 1.7 times the size of the binary.  A run that renders the reprs
-tees them into a temp file and publishes it whole with `os.replace`; a run
-whose cells file matches the entries it actually holds (header, body
-checksum, line and comma counts, all checked before the first byte of
-output) reads its rows instead of calling `float.__repr__`, one line at a
-time.  A file that fails any check is ignored and rewritten, and one that
-cannot be written is done without.  The argument parser is built once per
-process and reused by every `main` call.
+it is about 1.8 times the size of the binary for a Haar N=512 matrix, whose
+zero entries are short, and about 2.8 times for a dense one.  A run that
+renders the reprs tees them into a temp file and publishes it whole with
+`os.replace`; a run whose cells file matches the entries it actually holds
+(header, body checksum, line and comma counts, all checked before the first
+byte of output) reads its rows instead of calling `float.__repr__`, one line
+at a time.  A file that fails any check is ignored and rewritten, and one
+that cannot be written is done without.  The argument parser is built once
+per process and reused by every `main` call.
 Scientific payloads are deterministic for a fixed config and seed; the wall
 time of the experiment, the time spent writing its files and host details are
 quarantined in the env block.
@@ -460,8 +461,8 @@ def _matrix_rows(matrix: np.ndarray, cells=None):
     try:
         fh = open(cells, "rb")
     except OSError:  # not written yet, or not ours to read
-        fh = None
-    if fh is not None:
+        pass
+    else:
         with fh:
             if _cells_match(fh, matrix.shape, entries_crc):
                 for line in fh:

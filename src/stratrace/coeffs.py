@@ -41,7 +41,7 @@ hash of the engine version, the weights, the basis and the count; see
 else STRC_CACHE_DIR (empty means unset); an empty directory argument is an
 error, never the working directory.  Beside each `<key>.strc` the `coeffs`
 subcommand keeps `<key>.cells`, the text of the entries as its report files
-write them (about 1.7 times the binary's size), which it serves only while
+write them (1.8 to 2.8 times the binary's size), which it serves only while
 its header matches the matrix's shape and the checksum of the entries it
 loaded and its body matches its own checksum; see `stratrace.cli`.  Both
 files are published whole, from a temp file of the writer's own.
